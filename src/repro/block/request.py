@@ -20,6 +20,14 @@ class IoOp(enum.Enum):
     DISCARD = "discard"
 
 
+# Module-level aliases of the members: looking a member up on the enum
+# class (``IoOp.READ``) costs about eight times a global read, and the
+# per-command paths below the filesystem compare ops on every command.
+READ = IoOp.READ
+WRITE = IoOp.WRITE
+DISCARD = IoOp.DISCARD
+
+
 class IoCommand(NamedTuple):
     """One contiguous-LBA device command.
 

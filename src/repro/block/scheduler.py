@@ -7,8 +7,7 @@ and that dominates on Optane) and dispatches the batch to the device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .request import IoCommand
 from .tracer import BlockTracer
@@ -20,9 +19,9 @@ if TYPE_CHECKING:  # avoid a block <-> device import cycle at runtime
     from ..device.base import StorageDevice
 
 
-@dataclass(frozen=True)
-class SubmitResult:
-    """What the caller (VFS) learns about one submitted batch."""
+class SubmitResult(NamedTuple):
+    """What the caller (VFS) learns about one submitted batch (one per
+    syscall: a ``NamedTuple`` for construction speed and immutability)."""
 
     finish_time: float
     latency: float
@@ -70,7 +69,8 @@ class BlockScheduler:
         """
         if not commands:
             return SubmitResult(now, 0.0, 0, 0.0, 0.0)
-        kernel_time = self.kernel_overhead_per_request * len(commands)
+        count = len(commands)
+        kernel_time = self.kernel_overhead_per_request * count
         if self._faulting:
             first = commands[0]
             fire = self.faults.check(
@@ -93,7 +93,7 @@ class BlockScheduler:
         cpu_done = cpu_start + kernel_time
         self._cpu_free = cpu_done
         batch = self.device.submit(commands, cpu_done)
-        self.requests_submitted += len(commands)
+        self.requests_submitted += count
         self.kernel_time_total += kernel_time
         self.tracer.observe(commands, now)
         if self._observing:
@@ -102,20 +102,14 @@ class BlockScheduler:
             # queue_wait/base_cpu partition this submit's latency for
             # attribution (base = what one unsplit request would have cost)
             self.obs.block_submit(
-                len(commands), kernel_time, max(0.0, self._cpu_free - now),
+                count, kernel_time, max(0.0, self._cpu_free - now),
                 queue_wait=cpu_start - now,
                 base_cpu=self.kernel_overhead_per_request,
             )
             if self._tracing and commands[0].pid:
                 # causal edge: syscall -> this batch's kernel-CPU window
                 self.obs.provenance.submit(
-                    commands[0].pid, len(commands), now, cpu_start, cpu_done
+                    commands[0].pid, count, now, cpu_start, cpu_done
                 )
-        latency = batch.finish_time - now
-        return SubmitResult(
-            finish_time=batch.finish_time,
-            latency=latency,
-            commands=len(commands),
-            kernel_time=kernel_time,
-            device_time=batch.service_time,
-        )
+        finish = batch.finish_time
+        return SubmitResult(finish, finish - now, count, kernel_time, batch.service_time)

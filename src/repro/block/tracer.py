@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List
 
 from ..obs import hooks as obs_hooks
-from .request import IoCommand, IoOp
+from .request import READ, WRITE, IoCommand
 
 
 @dataclass
@@ -33,10 +33,10 @@ class TrafficCounter:
     discard_commands: int = 0
 
     def account(self, command: IoCommand) -> None:
-        if command.op is IoOp.READ:
+        if command.op is READ:
             self.read_bytes += command.length
             self.read_commands += 1
-        elif command.op is IoOp.WRITE:
+        elif command.op is WRITE:
             self.write_bytes += command.length
             self.write_commands += 1
         else:
@@ -77,16 +77,32 @@ class BlockTracer:
         self._emitting = self.obs.enabled
 
     def observe(self, commands: Iterable[IoCommand], now: float = 0.0) -> None:
+        # TrafficCounter.account inlined for the total and the per-tag
+        # counter: this runs for every command of every submitted batch
         emit = self._emitting
         by_tag = self.by_tag
-        total_account = self.total.account
+        total = self.total
         keep_log = self.keep_log
         for command in commands:
-            total_account(command)
-            counter = by_tag.get(command.tag)
+            op, _, length, tag, pid = command
+            counter = by_tag.get(tag)
             if counter is None:
-                counter = by_tag[command.tag] = TrafficCounter()
-            counter.account(command)
+                counter = by_tag[tag] = TrafficCounter()
+            if op is READ:
+                total.read_bytes += length
+                total.read_commands += 1
+                counter.read_bytes += length
+                counter.read_commands += 1
+            elif op is WRITE:
+                total.write_bytes += length
+                total.write_commands += 1
+                counter.write_bytes += length
+                counter.write_commands += 1
+            else:
+                total.discard_bytes += length
+                total.discard_commands += 1
+                counter.discard_bytes += length
+                counter.discard_commands += 1
             if keep_log:
                 self.log.append(command)
             if emit:
@@ -94,9 +110,8 @@ class BlockTracer:
                 # provenance tree (0 = untracked)
                 self.obs.event(
                     "block.cmd", now, track="block",
-                    op=command.op.value, offset=command.offset,
-                    length=command.length, tag=command.tag,
-                    pid=command.pid,
+                    op=op.value, offset=command.offset,
+                    length=length, tag=tag, pid=pid,
                 )
 
     def tag(self, name: str) -> TrafficCounter:

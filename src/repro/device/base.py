@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..block.request import IoCommand, IoOp
+from ..block.request import READ, WRITE, IoCommand
 from ..errors import DeviceError, DeviceIOError, InjectedCrash, TornWriteError
 from ..faults import hooks as fault_hooks
 from ..obs import hooks as obs_hooks
@@ -47,10 +47,10 @@ class DeviceStats:
     busy_time: float = 0.0   # summed media work (can exceed wall time)
 
     def account(self, command: IoCommand) -> None:
-        if command.op is IoOp.READ:
+        if command.op is READ:
             self.read_bytes += command.length
             self.read_commands += 1
-        elif command.op is IoOp.WRITE:
+        elif command.op is WRITE:
             self.write_bytes += command.length
             self.write_commands += 1
         else:
@@ -84,9 +84,12 @@ class DeviceStats:
         )
 
 
-@dataclass(frozen=True)
-class CommandPlan:
+class CommandPlan(NamedTuple):
     """How one command uses the device's resources.
+
+    Immutable: the Flash and Optane plan caches hand one instance to many
+    commands.  A ``NamedTuple`` because one is consumed per command and
+    :meth:`StorageDevice.submit` unpacks it in a single step.
 
     Attributes:
         controller_time: serial dispatch cost.
@@ -116,9 +119,8 @@ def extend_sums(sums: list, n: int, step: float) -> None:
         sums.append(sums[-1] + step)
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    """Outcome of submitting one command batch."""
+class BatchResult(NamedTuple):
+    """Outcome of submitting one command batch (one per syscall)."""
 
     start_time: float
     finish_time: float
@@ -184,18 +186,18 @@ class StorageDevice(abc.ABC):
         """Process a batch of commands issued together at ``start_time``."""
         if not commands:
             return BatchResult(start_time, start_time, 0.0, 0)
+        capacity = self.capacity
         for command in commands:
-            if command.end > self.capacity:
+            if command.offset + command.length > capacity:
                 raise DeviceError(
                     f"{self.name}: command [{command.offset}, {command.end}) "
-                    f"beyond capacity {self.capacity}"
+                    f"beyond capacity {capacity}"
                 )
-        if not self.supports_queuing:
-            # one command at a time: the whole batch serializes behind
-            # whatever the device is already doing
-            controller = max(start_time, self.busy_until)
-        else:
-            controller = max(start_time, self._controller_free)
+        # a non-queuing device takes one command at a time: the whole batch
+        # serializes behind whatever the device is already doing
+        controller = self._controller_free if self.supports_queuing else self.busy_until
+        if controller < start_time:
+            controller = start_time
         pickup = controller
         batch_finish = start_time
         batch_work = 0.0
@@ -208,7 +210,7 @@ class StorageDevice(abc.ABC):
         plan_command = self._plan_command
         unit_free = self._unit_free
         unit_get = unit_free.get
-        account = self.stats.account
+        stats = self.stats
         link_rate = self.link_rate
         torn_lost: Optional[int] = None  # bytes a torn write dropped
         done_bytes = 0
@@ -218,12 +220,12 @@ class StorageDevice(abc.ABC):
                 command, stall, torn_lost = self._apply_fault(command, start_time)
                 if command is None:  # torn down to nothing
                     break
-            plan = plan_command(command)
+            controller_time, unit_work, link_bytes, penalty_time = plan_command(command)
             command_begin = controller
-            dispatched = controller + plan.controller_time + stall
+            dispatched = controller + controller_time + stall
             controller = dispatched
             command_finish = dispatched
-            for unit, media_time in plan.unit_work:
+            for unit, media_time in unit_work:
                 unit_start = unit_get(unit, 0.0)
                 if unit_start < dispatched:
                     unit_start = dispatched
@@ -232,23 +234,35 @@ class StorageDevice(abc.ABC):
                 batch_work += media_time
                 if unit_end > command_finish:
                     command_finish = unit_end
-            if plan.link_bytes and link_rate:
-                link_time = plan.link_bytes / link_rate
-                link_start = max(dispatched, self._link_free)
-                link_end = link_start + link_time
+            if link_bytes and link_rate:
+                link_start = self._link_free
+                if link_start < dispatched:
+                    link_start = dispatched
+                link_end = link_start + link_bytes / link_rate
                 self._link_free = link_end
                 if link_end > command_finish:
                     command_finish = link_end
             if command_finish > batch_finish:
                 batch_finish = command_finish
-            account(command)
-            done_bytes += command.length
-            batch_work += plan.controller_time + stall
-            batch_penalty += plan.penalty_time
+            # DeviceStats.account, inlined
+            op = command.op
+            length = command.length
+            if op is READ:
+                stats.read_bytes += length
+                stats.read_commands += 1
+            elif op is WRITE:
+                stats.write_bytes += length
+                stats.write_commands += 1
+            else:
+                stats.discard_bytes += length
+                stats.discard_commands += 1
+            done_bytes += length
+            batch_work += controller_time + stall
+            batch_penalty += penalty_time
             if observing:
                 # service time: controller pickup to media/link completion
                 self.obs.device_command(
-                    self.name, command.op.value, command_finish - command_begin
+                    self.name, op.value, command_finish - command_begin
                 )
                 if tracing and command.pid:
                     # causal edge: syscall -> this command's completion,
@@ -256,9 +270,9 @@ class StorageDevice(abc.ABC):
                     # parallelism + discontiguity penalty
                     self.obs.provenance.command(
                         command.pid, self.name, self.provenance_unit,
-                        command.op.value, command.offset, command.length,
+                        op.value, command.offset, length,
                         start_time, command_begin, command_finish,
-                        len(plan.unit_work), plan.penalty_time,
+                        len(unit_work), penalty_time,
                     )
             if torn_lost is not None:
                 break  # the batch tears here: later commands never ran
@@ -266,7 +280,7 @@ class StorageDevice(abc.ABC):
         if not self.supports_queuing:
             # hold every resource until the batch drains
             self._controller_free = batch_finish
-        self.stats.busy_time += batch_work
+        stats.busy_time += batch_work
         if torn_lost is not None:
             raise TornWriteError(
                 f"{self.name}: torn write — only {done_bytes} bytes of the "
@@ -319,7 +333,7 @@ class StorageDevice(abc.ABC):
             stall = fire.latency if fire.latency is not None else self.fault_latency_spike
             return command, stall, None
         # torn: only a block-aligned prefix of a write completes
-        if command.op is not IoOp.WRITE or fire.torn_length >= command.length:
+        if command.op is not WRITE or fire.torn_length >= command.length:
             return command, 0.0, None
         lost = command.length - fire.torn_length
         if fire.torn_length <= 0:

@@ -15,17 +15,17 @@ reads on flash (Section 3.3).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..block.request import IoCommand, IoOp
+from ..block.request import DISCARD, READ, IoCommand
 from ..constants import BLOCK_SIZE, GIB
 from .base import CommandPlan, StorageDevice, extend_sums as _extend_sums
 from .ftl import PageMappingFtl
 
-#: bound on the read-plan memo (cleared wholesale on FTL mutation)
-READ_PLAN_CACHE_ENTRIES = 4096
+#: bound on each plan memo (the read memo is also cleared wholesale on
+#: FTL mutation)
+PLAN_CACHE_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,9 @@ class FlashSsd(StorageDevice):
         # Read plans are pure *given the current mapping*: cache them
         # keyed by (offset, length) and drop everything when the FTL
         # generation moves (any write/discard can re-home pages).
-        self._read_plan_cache: "OrderedDict[Tuple[int, int], CommandPlan]" = OrderedDict()
+        self._read_plan_cache: Dict[Tuple[int, int], CommandPlan] = {}
         self._read_plan_gen = self.ftl.generation
+        self._write_plan_cache: Dict[Tuple[int, int, int], CommandPlan] = {}
         # repeated-addition prefix table (see base.extend_sums): keeps
         # batch-counted channel totals bit-identical to the old
         # accumulation loop
@@ -76,59 +77,68 @@ class FlashSsd(StorageDevice):
             controller_time=params.command_overhead + params.discard_per_command
         )
 
-    def _pages_of(self, command: IoCommand) -> range:
-        first = command.offset // BLOCK_SIZE
-        last = (command.end - 1) // BLOCK_SIZE
-        return range(first, last + 1)
-
     def _plan_command(self, command: IoCommand) -> CommandPlan:
-        if command.op is IoOp.DISCARD:
-            self.ftl.invalidate(list(self._pages_of(command)))
+        op, offset, length, _, _ = command
+        first = offset // BLOCK_SIZE
+        last = (offset + length - 1) // BLOCK_SIZE
+        if op is DISCARD:
+            self.ftl.invalidate(range(first, last + 1))
             return self._discard_overhead_plan
-        per_channel: Dict[int, float] = {}
-        if command.op is IoOp.READ:
+        params = self.params
+        if op is READ:
             cache = self._read_plan_cache
             if self._read_plan_gen != self.ftl.generation:
                 cache.clear()
                 self._read_plan_gen = self.ftl.generation
-            key = (command.offset, command.length)
+            key = (offset, length)
             plan = cache.get(key)
             if plan is not None:
-                cache.move_to_end(key)
                 return plan
             # batch mapping lookup in the FTL, then one table lookup per
             # occupied channel (first-occurrence order, like the old loop)
-            first = command.offset // BLOCK_SIZE
-            last = (command.end - 1) // BLOCK_SIZE
             counts = self.ftl.channel_counts(first, last)
             sums = self._read_sums
             if counts:
-                _extend_sums(sums, max(counts.values()), self.params.page_read)
+                _extend_sums(sums, max(counts.values()), params.page_read)
             plan = CommandPlan(
-                controller_time=self.params.command_overhead,
-                unit_work=tuple(
-                    (channel, sums[n]) for channel, n in counts.items()
-                ),
-                link_bytes=command.length,
+                params.command_overhead,
+                tuple((channel, sums[n]) for channel, n in counts.items()),
+                length,
             )
-            if len(cache) >= READ_PLAN_CACHE_ENTRIES:
-                cache.popitem(last=False)
+            if len(cache) >= PLAN_CACHE_ENTRIES:
+                del cache[next(iter(cache))]  # evict the oldest entry
             cache[key] = plan
             return plan
-        else:
-            result = self.ftl.write(list(self._pages_of(command)))
-            for channel, pages in result.pages_per_channel.items():
-                per_channel[channel] = per_channel.get(channel, 0.0) + pages * self.params.page_program
-            if result.relocated_pages:
-                # GC copyback work, spread over the channels it runs on
-                share = result.relocated_pages * self.params.gc_page_cost / self.params.channels
-                for channel in range(self.params.channels):
-                    per_channel[channel] = per_channel.get(channel, 0.0) + share
-        return CommandPlan(
-            controller_time=self.params.command_overhead,
-            unit_work=tuple(per_channel.items()),
-            link_bytes=command.length,
-        )
+        stripe = self.ftl.write(range(first, last + 1))
+        if stripe.relocated_pages:
+            per_channel: Dict[int, float] = {
+                channel: pages * params.page_program
+                for channel, pages in stripe.pages_per_channel.items()
+            }
+            # GC copyback work, spread over the channels it runs on
+            share = stripe.relocated_pages * params.gc_page_cost / params.channels
+            for channel in range(params.channels):
+                per_channel[channel] = per_channel.get(channel, 0.0) + share
+            return CommandPlan(
+                params.command_overhead, tuple(per_channel.items()), length
+            )
+        # Without GC work a write plan depends only on where the stripe
+        # starts, how many pages it covers and the byte length: memoize.
+        cache = self._write_plan_cache
+        key = (stripe.first_channel, stripe.pages, length)
+        plan = cache.get(key)
+        if plan is None:
+            if len(cache) >= PLAN_CACHE_ENTRIES:
+                del cache[next(iter(cache))]  # evict the oldest entry
+            plan = cache[key] = CommandPlan(
+                params.command_overhead,
+                tuple(
+                    (channel, pages * params.page_program)
+                    for channel, pages in stripe.pages_per_channel.items()
+                ),
+                length,
+            )
+        return plan
 
     def describe(self):
         info = super().describe()

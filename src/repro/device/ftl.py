@@ -18,9 +18,8 @@ Implements the flash behaviour the paper leans on in Sections 2.2/3.3:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import DeviceError
 
@@ -34,17 +33,29 @@ class EraseBlock:
     valid_count: int = 0
     erase_count: int = 0
 
-    def is_full(self, pages_per_block: int) -> bool:
-        return len(self.pages) >= pages_per_block
 
+class FtlWriteResult(NamedTuple):
+    """Channel load and GC work produced by one logical write.
 
-@dataclass
-class FtlWriteResult:
-    """Channel load and GC work produced by one logical write."""
+    Host pages stripe round-robin, so the channel load is fully described
+    by the first page's channel and the page count.
+    """
 
-    pages_per_channel: Dict[int, int]
+    first_channel: int
+    pages: int
     relocated_pages: int
     erased_blocks: int
+    channels: int
+
+    @property
+    def pages_per_channel(self) -> Dict[int, int]:
+        """Pages per channel, in the order the stripe first touches them."""
+        channels = self.channels
+        base, rem = divmod(self.pages, channels)
+        return {
+            (self.first_channel + k) % channels: base + 1 if k < rem else base
+            for k in range(min(channels, self.pages))
+        }
 
 
 class PageMappingFtl:
@@ -76,6 +87,12 @@ class PageMappingFtl:
         self._sealed: List[List[EraseBlock]] = [[] for _ in range(channels)]
         self._free_pool: List[List[EraseBlock]] = [[] for _ in range(channels)]
         self._created_blocks = [0] * channels
+        #: per-channel free blocks: pooled erased blocks plus never-used ones
+        self._free_blocks = [per_channel_blocks] * channels
+        #: the channel's last victim search found nothing reclaimable and no
+        #: block on it has since been sealed or lost a valid page, so GC
+        #: would find nothing again
+        self._gc_stalled = [False] * channels
         self._next_channel = 0
         self.total_erases = 0
         self.host_pages_written = 0
@@ -97,24 +114,20 @@ class PageMappingFtl:
             return lpn % self.channels
         return entry[0].channel
 
-    def channel_counts(self, first: int, last: int) -> "Counter":
+    def channel_counts(self, first: int, last: int) -> Dict[int, int]:
         """Pages-per-channel for a read of lpns ``first..last`` inclusive.
 
-        Batch form of :meth:`channel_of`: one C-level ``Counter.update``
-        over a generator instead of a per-page dict-accumulation loop in
-        the device model.  Counter is a dict subclass, so iteration
-        order is first-occurrence order — the same order the old loop's
-        accumulator dict had, which the plan's ``unit_work`` tuple (and
-        every fingerprinted document hashing it) depends on.
+        Batch form of :meth:`channel_of`.  The dict is in first-occurrence
+        order, which the plan's ``unit_work`` tuple (and every
+        fingerprinted document hashing it) depends on.
         """
         mapping_get = self.mapping.get
         channels = self.channels
-        counts: Counter = Counter()
-        counts.update(
-            entry[0].channel if (entry := mapping_get(lpn)) is not None
-            else lpn % channels
-            for lpn in range(first, last + 1)
-        )
+        counts: Dict[int, int] = {}
+        for lpn in range(first, last + 1):
+            entry = mapping_get(lpn)
+            channel = entry[0].channel if entry is not None else lpn % channels
+            counts[channel] = counts.get(channel, 0) + 1
         return counts
 
     @property
@@ -127,64 +140,81 @@ class PageMappingFtl:
 
     def _take_free_block(self, channel: int) -> Optional[EraseBlock]:
         if self._free_pool[channel]:
-            return self._free_pool[channel].pop()
-        if self._created_blocks[channel] < self.blocks_per_channel:
+            block = self._free_pool[channel].pop()
+        elif self._created_blocks[channel] < self.blocks_per_channel:
             self._created_blocks[channel] += 1
-            return EraseBlock(channel)
-        return None
+            block = EraseBlock(channel)
+        else:
+            return None
+        self._free_blocks[channel] -= 1
+        return block
 
-    def _free_blocks_available(self, channel: int) -> int:
-        return len(self._free_pool[channel]) + (
-            self.blocks_per_channel - self._created_blocks[channel]
-        )
-
-    def _activate(self, channel: int) -> EraseBlock:
-        block = self._take_free_block(channel)
-        if block is None:
-            raise DeviceError(f"flash channel {channel} out of space (GC failed)")
-        self._active[channel] = block
+    def _replace_active(self, channel: int) -> Optional[EraseBlock]:
+        """Seal the channel's active block and open a free one (None when
+        the channel has no free block left)."""
+        block = self._active[channel]
+        if block is not None:
+            self._sealed[channel].append(block)
+            self._gc_stalled[channel] = False
+        block = self._active[channel] = self._take_free_block(channel)
         return block
 
     # -- program path ----------------------------------------------------
 
-    def _program(self, channel: int, lpn: int) -> None:
-        """Append one page on ``channel`` and update the mapping."""
-        old = self.mapping.get(lpn)
-        if old is not None:
-            old_block, slot = old
-            old_block.pages[slot] = None
-            old_block.valid_count -= 1
-        block = self._active[channel]
-        if block is None or block.is_full(self.pages_per_block):
-            if block is not None:
-                self._sealed[channel].append(block)
-            block = self._activate(channel)
-        block.pages.append(lpn)
-        block.valid_count += 1
-        self.mapping[lpn] = (block, len(block.pages) - 1)
+    def write(self, lpns: Sequence[int]) -> FtlWriteResult:
+        """Host write of the given logical pages (out-of-place, striped).
 
-    def write(self, lpns: List[int]) -> FtlWriteResult:
-        """Host write of the given logical pages (out-of-place, striped)."""
+        One pass per command: page ``k`` lands on channel ``(first + k) %
+        channels``.  Before each page, GC runs on that page's channel when
+        its free-block count is below the threshold, unless the channel is
+        stalled (see ``_gc_stalled``).
+        """
+        if lpns and max(lpns) >= self.logical_pages:
+            bad = next(lpn for lpn in lpns if lpn >= self.logical_pages)
+            raise DeviceError(f"lpn {bad} beyond logical capacity")
         self.generation += 1
-        per_channel: Dict[int, int] = {}
+        channels = self.channels
+        pages_per_block = self.pages_per_block
+        threshold = self.gc_free_block_threshold
+        mapping = self.mapping
+        mapping_get = mapping.get
+        active = self._active
+        free_blocks = self._free_blocks
+        stalled = self._gc_stalled
+        first_channel = channel = self._next_channel
         relocated = 0
         erased = 0
         for lpn in lpns:
-            if lpn >= self.logical_pages:
-                raise DeviceError(f"lpn {lpn} beyond logical capacity")
-            channel = self._next_channel
-            self._next_channel = (self._next_channel + 1) % self.channels
-            r, e = self._maybe_gc(channel)
-            relocated += r
-            erased += e
-            self._program(channel, lpn)
-            per_channel[channel] = per_channel.get(channel, 0) + 1
-            self.host_pages_written += 1
-        return FtlWriteResult(per_channel, relocated, erased)
+            if free_blocks[channel] < threshold and not stalled[channel]:
+                r, e = self._collect_garbage(channel)
+                relocated += r
+                erased += e
+            old = mapping_get(lpn)
+            if old is not None:
+                old_block, slot = old
+                old_block.pages[slot] = None
+                old_block.valid_count -= 1
+                stalled[old_block.channel] = False
+            block = active[channel]
+            if block is None or len(block.pages) >= pages_per_block:
+                block = self._replace_active(channel)
+                if block is None:
+                    raise DeviceError(f"flash channel {channel} out of space (GC failed)")
+            pages = block.pages
+            pages.append(lpn)
+            block.valid_count += 1
+            mapping[lpn] = (block, len(pages) - 1)
+            channel += 1
+            if channel == channels:
+                channel = 0
+        self._next_channel = channel
+        self.host_pages_written += len(lpns)
+        return FtlWriteResult(first_channel, len(lpns), relocated, erased, channels)
 
-    def invalidate(self, lpns: List[int]) -> int:
+    def invalidate(self, lpns: Iterable[int]) -> int:
         """Discard: drop mappings, freeing the pages for GC.  Returns count."""
         self.generation += 1
+        stalled = self._gc_stalled
         dropped = 0
         for lpn in lpns:
             entry = self.mapping.pop(lpn, None)
@@ -192,17 +222,21 @@ class PageMappingFtl:
                 block, slot = entry
                 block.pages[slot] = None
                 block.valid_count -= 1
+                stalled[block.channel] = False
                 dropped += 1
         return dropped
 
     # -- garbage collection ----------------------------------------------
 
-    def _maybe_gc(self, channel: int) -> Tuple[int, int]:
+    def _collect_garbage(self, channel: int) -> Tuple[int, int]:
+        """Reclaim victims until the channel is back at the free-block
+        threshold; returns ``(relocated pages, erased blocks)``."""
         relocated = 0
         erased = 0
-        while self._free_blocks_available(channel) < self.gc_free_block_threshold:
+        while self._free_blocks[channel] < self.gc_free_block_threshold:
             victim = self._pick_victim(channel)
             if victim is None:
+                self._gc_stalled[channel] = True
                 break
             relocated += self._collect(victim)
             erased += 1
@@ -233,17 +267,15 @@ class PageMappingFtl:
         self.total_erases += 1
         self.relocated_pages_total += moved
         self._free_pool[victim.channel].append(victim)
+        self._free_blocks[victim.channel] += 1
         return moved
 
     def _program_relocation(self, channel: int, lpn: int) -> None:
         block = self._active[channel]
-        if block is None or block.is_full(self.pages_per_block):
-            if block is not None:
-                self._sealed[channel].append(block)
-            block = self._take_free_block(channel)
+        if block is None or len(block.pages) >= self.pages_per_block:
+            block = self._replace_active(channel)
             if block is None:
                 raise DeviceError(f"flash channel {channel} wedged during GC")
-            self._active[channel] = block
         block.pages.append(lpn)
         block.valid_count += 1
         self.mapping[lpn] = (block, len(block.pages) - 1)

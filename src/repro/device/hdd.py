@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
-from ..block.request import IoCommand, IoOp
+from ..block.request import DISCARD, IoCommand
 from ..constants import GIB
 from .base import CommandPlan, StorageDevice
 
@@ -83,7 +83,7 @@ class HddDevice(StorageDevice):
         return result
 
     def _plan_command(self, command: IoCommand) -> CommandPlan:
-        if command.op is IoOp.DISCARD:
+        if command.op is DISCARD:
             # TRIM is a metadata operation; negligible mechanical work.
             return self._discard_plan
         penalty = 0.0

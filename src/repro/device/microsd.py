@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from ..block.request import IoCommand, IoOp
+from ..block.request import DISCARD, READ, IoCommand
 from ..constants import GIB, MIB
 from .base import CommandPlan, StorageDevice
 
@@ -81,10 +81,10 @@ class MicroSdDevice(StorageDevice):
         return penalty
 
     def _plan_command(self, command: IoCommand) -> CommandPlan:
-        if command.op is IoOp.DISCARD:
+        if command.op is DISCARD:
             return self._discard_plan
         penalty = self._mapping_lookup(command)
-        rate = self.params.read_rate if command.op is IoOp.READ else self.params.write_rate
+        rate = self.params.read_rate if command.op is READ else self.params.write_rate
         media = penalty + command.length / rate
         return CommandPlan(
             controller_time=self.params.command_overhead,

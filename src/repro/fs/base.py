@@ -20,9 +20,9 @@ from __future__ import annotations
 import abc
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..block.request import IoCommand, IoOp
+from ..block.request import READ, WRITE, IoCommand
 from ..block.scheduler import BlockScheduler, SubmitResult
 from ..block.splitter import split_ranges
 from ..block.tracer import BlockTracer
@@ -71,9 +71,13 @@ class SyscallEvent:
     time: float
 
 
-@dataclass(frozen=True)
-class SyscallResult:
-    """Outcome of one syscall."""
+class SyscallResult(NamedTuple):
+    """Outcome of one syscall.
+
+    A ``NamedTuple`` (immutable, like every per-syscall value type in the
+    stack): one is built per syscall, and the tuple constructor costs a
+    third of a frozen dataclass's.
+    """
 
     finish_time: float
     latency: float
@@ -294,48 +298,42 @@ class Filesystem(abc.ABC):
         now += self._probe_cost
         pid = self.obs.provenance.mint() if self._tracing else 0
         if handle.o_direct:
-            result = self._read_direct(handle, inode, offset, length, now, pid)
+            finish, requests = self._read_direct(handle, inode, offset, length, now, pid)
         else:
-            result = self._read_buffered(handle, inode, offset, length, now, pid)
+            finish, requests = self._read_buffered(handle, inode, offset, length, now, pid)
         data = self.page_store.read(inode.ino, offset, length) if want_data else None
         if self._observing:
-            self.obs.syscall("read", result.finish_time - entry_time)
+            self.obs.syscall("read", finish - entry_time)
             self.obs.fs_cpu(self._probe_cost)
             if pid:
                 self.obs.provenance.syscall(
                     pid, "read", app=handle.app, path=inode.path,
                     ino=inode.ino, offset=offset, size=length,
-                    start=entry_time, end=result.finish_time,
-                    requests=result.requests,
+                    start=entry_time, end=finish, requests=requests,
                 )
-        return SyscallResult(
-            result.finish_time,
-            result.finish_time - entry_time,
-            result.requests,
-            result.bytes_transferred,
-            data,
-        )
+        return SyscallResult(finish, finish - entry_time, requests, length, data)
 
-    def _read_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> SyscallResult:
+    # The read/write helpers below return ``(finish_time, requests)``; the
+    # syscall entry points build the one SyscallResult the caller sees.
+
+    def _read_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int]:
         if offset % BLOCK_SIZE or length % BLOCK_SIZE:
             # Linux O_DIRECT requires logical-block alignment.
             raise InvalidArgument(f"O_DIRECT read misaligned: offset={offset} length={length}")
         ranges = inode.extent_map.disk_ranges(offset, length)
-        commands = split_ranges(IoOp.READ, ranges, tag=handle.app, pid=pid)
+        commands = split_ranges(READ, ranges, tag=handle.app, pid=pid)
         submit = self.scheduler.submit(commands, now)
         finish = max(submit.finish_time, now) + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(self.costs.syscall_overhead)
-        return SyscallResult(finish, finish - now, submit.commands, length)
+        return finish, submit.commands
 
-    def _read_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> SyscallResult:
+    def _read_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int]:
         plan = handle.readahead.plan(offset, length, inode.size)
         first_page = plan.fetch_start // BLOCK_SIZE
         last_page = max(first_page, (plan.fetch_end - 1) // BLOCK_SIZE)
-        missing: List[int] = []
-        for page in range(first_page, last_page + 1):
-            if not self.page_cache.probe((inode.ino, page)):
-                missing.append(page)
+        ino = inode.ino
+        missing = self.page_cache.probe_pages(ino, first_page, last_page)
         requests = 0
         finish = now
         if missing:
@@ -344,11 +342,11 @@ class Filesystem(abc.ABC):
                 ranges.extend(
                     inode.extent_map.disk_ranges(run_start * BLOCK_SIZE, run_len * BLOCK_SIZE)
                 )
-            commands = split_ranges(IoOp.READ, ranges, tag=handle.app, pid=pid)
+            commands = split_ranges(READ, ranges, tag=handle.app, pid=pid)
             submit = self.scheduler.submit(commands, now)
             requests = submit.commands
             finish = max(finish, submit.finish_time)
-            evicted = self.page_cache.fill((inode.ino, page) for page in missing)
+            evicted = self.page_cache.fill((ino, page) for page in missing)
             if evicted:
                 # eviction writeback is causally this read's fault: the
                 # flushed commands carry its pid
@@ -357,7 +355,7 @@ class Filesystem(abc.ABC):
         finish += copy_time + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(copy_time + self.costs.syscall_overhead)
-        return SyscallResult(finish, finish - now, requests, length)
+        return finish, requests
 
     # ------------------------------------------------------------------
     # write path
@@ -403,39 +401,33 @@ class Filesystem(abc.ABC):
         now += self._probe_cost
         pid = self.obs.provenance.mint() if self._tracing else 0
         if handle.o_direct:
-            result = self._write_direct(handle, inode, offset, length, now, pid)
+            finish, requests = self._write_direct(handle, inode, offset, length, now, pid)
         else:
-            result = self._write_buffered(handle, inode, offset, length, now, pid)
+            finish, requests = self._write_buffered(handle, inode, offset, length, now, pid)
         if self._observing:
-            self.obs.syscall("write", result.finish_time - entry_time)
+            self.obs.syscall("write", finish - entry_time)
             self.obs.fs_cpu(self._probe_cost)
             if pid:
                 self.obs.provenance.syscall(
                     pid, "write", app=handle.app, path=inode.path,
                     ino=inode.ino, offset=offset, size=length,
-                    start=entry_time, end=result.finish_time,
-                    requests=result.requests,
+                    start=entry_time, end=finish, requests=requests,
                 )
-        return SyscallResult(
-            result.finish_time,
-            result.finish_time - entry_time,
-            result.requests,
-            result.bytes_transferred,
-        )
+        return SyscallResult(finish, finish - entry_time, requests, length)
 
-    def _write_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> SyscallResult:
+    def _write_direct(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int]:
         if offset % BLOCK_SIZE or length % BLOCK_SIZE:
             raise InvalidArgument(f"O_DIRECT write misaligned: offset={offset} length={length}")
         ranges = self._allocate_write(inode, offset, length)
         self._meta_dirty = True
-        commands = split_ranges(IoOp.WRITE, ranges, tag=handle.app, pid=pid)
+        commands = split_ranges(WRITE, ranges, tag=handle.app, pid=pid)
         submit = self.scheduler.submit(commands, now)
         finish = max(submit.finish_time, now) + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(self.costs.syscall_overhead)
-        return SyscallResult(finish, finish - now, submit.commands, length)
+        return finish, submit.commands
 
-    def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> SyscallResult:
+    def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int]:
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
         evicted = self.page_cache.mark_dirty((inode.ino, page) for page in range(first, last + 1))
@@ -444,7 +436,7 @@ class Filesystem(abc.ABC):
             self.obs.fs_cpu(finish - now)
         if evicted:
             finish = self._writeback_pages(evicted, finish, pid=pid).finish_time
-        return SyscallResult(finish, finish - now, 0, length)
+        return finish, 0
 
     def fsync(self, handle: FileHandle, now: float = 0.0) -> SyscallResult:
         """Flush this inode's dirty pages (delayed allocation happens
@@ -519,7 +511,7 @@ class Filesystem(abc.ABC):
             pages.sort()
             for run_start, run_len in _page_runs(pages):
                 ranges = self._allocate_write(inode, run_start * BLOCK_SIZE, run_len * BLOCK_SIZE)
-                commands.extend(split_ranges(IoOp.WRITE, ranges, tag=tag, pid=pid))
+                commands.extend(split_ranges(WRITE, ranges, tag=tag, pid=pid))
             self._meta_dirty = True
             self.page_cache.clean(ino, pages)
         return self.scheduler.submit(commands, now)
@@ -680,7 +672,7 @@ class Filesystem(abc.ABC):
         if offset + record > self.metadata_region:
             offset = 0
         self._journal_head = offset + record
-        command = IoCommand(IoOp.WRITE, offset, record, tag, pid)
+        command = IoCommand(WRITE, offset, record, tag, pid)
         return self.scheduler.submit([command], now)
 
     # ------------------------------------------------------------------
@@ -701,7 +693,7 @@ class Filesystem(abc.ABC):
     def _goal_for(self, inode: Inode, file_offset: int) -> Optional[int]:
         """Allocation goal: right after the extent preceding this offset."""
         best = inode.extent_map.preceding(file_offset)
-        return best.disk_end if best is not None else None
+        return best.disk_offset + best.length if best is not None else None
 
     def _map_new_blocks(self, inode: Inode, offset: int, length: int, goal: Optional[int]) -> List[Tuple[int, int]]:
         """Allocate fresh blocks for the range, free displaced ones."""

@@ -117,8 +117,10 @@ class ExtentMap:
     def _index_for(self, file_offset: int) -> int:
         """Index of the first extent whose end is after ``file_offset``."""
         idx = bisect_right(self._starts, file_offset) - 1
-        if idx >= 0 and self._extents[idx].file_end > file_offset:
-            return idx
+        if idx >= 0:
+            start, _, length = self._extents[idx]
+            if start + length > file_offset:
+                return idx
         return idx + 1
 
     def map_range(self, offset: int, length: int) -> List[MappedPiece]:
@@ -150,8 +152,25 @@ class ExtentMap:
         return pieces
 
     def disk_ranges(self, offset: int, length: int) -> List[Tuple[int, int]]:
-        """Like :meth:`map_range` but holes removed."""
-        return [(d, l) for d, l in self.map_range(offset, length) if d is not None]
+        """Like :meth:`map_range` but holes removed: the clipped disk piece
+        of every extent overlapping the range, in file order."""
+        if length <= 0:
+            return []
+        ranges: List[Tuple[int, int]] = []
+        end = offset + length
+        extents = self._extents
+        count = len(extents)
+        idx = self._index_for(offset)
+        while idx < count:
+            file_offset, disk_offset, ext_len = extents[idx]
+            if file_offset >= end:
+                break
+            lo = file_offset if file_offset > offset else offset
+            file_end = file_offset + ext_len
+            hi = file_end if file_end < end else end
+            ranges.append((disk_offset + (lo - file_offset), hi - lo))
+            idx += 1
+        return ranges
 
     def is_fully_mapped(self, offset: int, length: int) -> bool:
         return all(d is not None for d, _ in self.map_range(offset, length))
@@ -245,44 +264,60 @@ class ExtentMap:
 
         Returns the displaced disk pieces (the caller frees those blocks —
         this is how out-of-place filesystems retire old copies).  Merges
-        with physically contiguous neighbours.
+        with physically contiguous neighbours.  Filling a hole skips the
+        punch: two comparisons show that nothing overlaps.
         """
         if DEBUG_CHECKS:
             extent.validate()
-        displaced = self.punch(extent.file_offset, extent.length)
         extents = self._extents
         starts = self._starts
         file_offset, disk_offset, length = extent
         idx = bisect_left(starts, file_offset)
-        # coalesce with the previous neighbour
+        overlaps = idx < len(starts) and starts[idx] < file_offset + length
+        if not overlaps and idx > 0:
+            prev_file, _, prev_len = extents[idx - 1]
+            overlaps = prev_file + prev_len > file_offset
+        if overlaps:
+            displaced = self.punch(file_offset, length)
+            idx = bisect_left(starts, file_offset)
+        else:
+            displaced = []
+        # coalesce with the neighbours in place
+        merge_prev = False
         if idx > 0:
             prev_file, prev_disk, prev_len = extents[idx - 1]
-            if (prev_file + prev_len == file_offset
-                    and prev_disk + prev_len == disk_offset):
-                file_offset, disk_offset = prev_file, prev_disk
-                length += prev_len
-                idx -= 1
-                del extents[idx]
-                del starts[idx]
-        # coalesce with the next neighbour
+            merge_prev = (prev_file + prev_len == file_offset
+                          and prev_disk + prev_len == disk_offset)
+        merge_next = False
         if idx < len(extents):
             next_file, next_disk, next_len = extents[idx]
-            if (file_offset + length == next_file
-                    and disk_offset + length == next_disk):
+            merge_next = (file_offset + length == next_file
+                          and disk_offset + length == next_disk)
+        if merge_prev:
+            length += prev_len
+            if merge_next:
                 length += next_len
                 del extents[idx]
                 del starts[idx]
-        extents.insert(idx, Extent(file_offset, disk_offset, length))
-        starts.insert(idx, file_offset)
+            extents[idx - 1] = Extent(prev_file, prev_disk, length)
+        elif merge_next:
+            extents[idx] = Extent(file_offset, disk_offset, length + next_len)
+            starts[idx] = file_offset
+        else:
+            extents.insert(idx, Extent(file_offset, disk_offset, length))
+            starts.insert(idx, file_offset)
         return displaced
 
     def preceding(self, file_offset: int) -> Optional[Extent]:
         """The last extent ending at or before ``file_offset`` (O(log n))."""
+        extents = self._extents
         idx = bisect_right(self._starts, file_offset) - 1
-        if idx >= 0 and self._extents[idx].file_end <= file_offset:
-            return self._extents[idx]
-        idx -= 1
-        return self._extents[idx] if idx >= 0 else None
+        if idx < 0:
+            return None
+        start, _, length = extents[idx]
+        if start + length <= file_offset:
+            return extents[idx]
+        return extents[idx - 1] if idx > 0 else None
 
     @staticmethod
     def _check_aligned(offset: int, length: int) -> None:

@@ -60,8 +60,11 @@ class F2fs(Filesystem):
     # -- allocation ----------------------------------------------------------
 
     def _allocate_write(self, inode: Inode, offset: int, length: int) -> List[Tuple[int, int]]:
-        if self.ipu_enabled and inode.extent_map.is_fully_mapped(offset, length):
-            return inode.extent_map.disk_ranges(offset, length)
+        if self.ipu_enabled:
+            # one lookup serves both the fully-mapped test and the ranges
+            pieces = inode.extent_map.map_range(offset, length)
+            if all(disk is not None for disk, _ in pieces):
+                return pieces
         ranges: List[Tuple[int, int]] = []
         pos = offset
         remaining = length

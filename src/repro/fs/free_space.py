@@ -111,7 +111,7 @@ class FreeSpaceManager:
                 if pivot_start < goal < pivot_start + pivot_len:
                     # the goal sits inside this run: honour it exactly
                     if pivot_start + pivot_len - goal >= length:
-                        self._alloc_at(goal, length)
+                        self._split_run(pivot, goal, length)
                         return goal
                     # tail too small; the run stays eligible from its
                     # start when the search wraps back around
@@ -125,6 +125,10 @@ class FreeSpaceManager:
                     # wrap-around retry for the pivot run we skipped above
                     if pivot_len >= length:
                         return self._take(pivot, length)
+                elif pivot_len >= length:
+                    # the first run at or after the goal fits: it is the
+                    # first fit the scan below would find
+                    return self._take(pivot, length)
                 else:
                     found = self._first_fit(length, pivot_start, self.region_end)
                     if found < 0:
@@ -191,7 +195,13 @@ class FreeSpaceManager:
         run_start, run_len = starts[idx], lengths[idx]
         if start < run_start or start + length > run_start + run_len:
             raise NoSpaceError(f"range [{start}, {start + length}) not free")
-        # split the run around the claimed range
+        self._split_run(idx, start, length)
+
+    def _split_run(self, idx: int, start: int, length: int) -> None:
+        """Claim ``[start, start+length)`` from inside free run ``idx``."""
+        starts = self._starts
+        lengths = self._lengths
+        run_start, run_len = starts[idx], lengths[idx]
         self._bucket_remove(run_start, run_len)
         head = start - run_start
         tail = (run_start + run_len) - (start + length)
@@ -257,16 +267,27 @@ class FreeSpaceManager:
     # -- internals -------------------------------------------------------
 
     def _take(self, idx: int, length: int) -> int:
-        start = self._starts[idx]
-        run_len = self._lengths[idx]
-        self._bucket_remove(start, run_len)
-        if run_len == length:
-            del self._starts[idx]
-            del self._lengths[idx]
+        """Allocate ``length`` bytes from the head of free run ``idx``."""
+        starts = self._starts
+        lengths = self._lengths
+        start = starts[idx]
+        run_len = lengths[idx]
+        rest = run_len - length
+        if rest and rest.bit_length() == run_len.bit_length():
+            # the shrunk run stays in its size class, and no other run
+            # sorts between its old and new start: replace it in place
+            bucket = self._buckets[run_len.bit_length()]
+            bucket[bisect_left(bucket, (start, run_len))] = (start + length, rest)
         else:
-            self._starts[idx] = start + length
-            self._lengths[idx] = run_len - length
-            self._bucket_add(start + length, run_len - length)
+            self._bucket_remove(start, run_len)
+            if rest:
+                self._bucket_add(start + length, rest)
+        if rest:
+            starts[idx] = start + length
+            lengths[idx] = rest
+        else:
+            del starts[idx]
+            del lengths[idx]
         self._free_bytes -= length
         self._runs_cache = self._stats_cache = None
         return start

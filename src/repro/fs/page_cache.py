@@ -60,6 +60,24 @@ class PageCache:
         self.stats.misses += 1
         return False
 
+    def probe_pages(self, ino: int, first: int, last: int) -> List[int]:
+        """:meth:`probe` pages ``first..last`` of one inode in order;
+        returns the missing page indices."""
+        resident = self._by_ino.get(ino)
+        if resident is None:
+            missing = list(range(first, last + 1))
+        else:
+            move_to_end = self._lru.move_to_end
+            missing = []
+            for page in range(first, last + 1):
+                if page in resident:
+                    move_to_end((ino, page))
+                else:
+                    missing.append(page)
+        self.stats.misses += len(missing)
+        self.stats.hits += last + 1 - first - len(missing)
+        return missing
+
     # -- population ------------------------------------------------------
 
     def fill(self, keys: Iterable[PageKey]) -> List[PageKey]:

@@ -14,17 +14,18 @@ Mirrors the Linux on-demand readahead behaviour the paper depends on twice:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..constants import READAHEAD_SIZE, block_align_down, block_align_up
 
 
-@dataclass(frozen=True)
-class ReadPlan:
+class ReadPlan(NamedTuple):
     """Block-aligned fetch decision for one buffered read.
 
     The fetch range always covers the requested bytes; pages already
     resident are filtered out by the page-cache probe, so a read inside a
-    previously fetched window costs no device I/O.
+    previously fetched window costs no device I/O.  A ``NamedTuple``: one
+    is built per buffered read.
     """
 
     fetch_start: int

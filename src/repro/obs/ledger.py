@@ -16,6 +16,12 @@ seed-keyed workload reproduces the manifest fingerprint byte-for-byte
 sequence-numbered (``000007_perf_ab12cd34ef56.json``) so ``repro runs``
 can render the trajectory of a metric across recorded runs in recording
 order.
+
+Recording is safe against crashes and concurrent runs: each sequence
+number is claimed once, with an exclusive create under ``.seq/`` that is
+never removed (so deleting a manifest never frees its number), and the
+manifest is written to a temporary file and renamed into place, so a
+reader never sees a torn one.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ SCHEMA = "repro.ledger/v1"
 
 #: default ledger directory, relative to the working tree
 DEFAULT_DIR = os.path.join("benchmarks", "ledger")
+
+#: subdirectory of sequence-number claims: one empty file per number
+CLAIMS_DIR = ".seq"
 
 
 def resolve_dir(directory: Optional[str] = None) -> str:
@@ -200,13 +209,42 @@ def record_run(
         verb, document, label=label, seed=seed, workers=workers,
         args=args, wall_s=wall_s,
     )
-    seq = len([n for n in os.listdir(directory) if n.endswith(".json")])
+    seq = _claim_seq(directory)
     name = f"{seq:06d}_{verb}_{manifest['fingerprint'][:12]}.json"
     path = os.path.join(directory, name)
-    with open(path, "w") as fh:
+    temp = os.path.join(directory, f".{name}.tmp")
+    with open(temp, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(temp, path)
     return path
+
+
+def _claim_seq(directory: str) -> int:
+    """Claim the next sequence number with an ``O_CREAT | O_EXCL`` create.
+
+    The search starts past every claim and every manifest present; a
+    concurrent run that claimed the same number first makes the create
+    fail, and this run moves on to the next number.
+    """
+    claims = os.path.join(directory, CLAIMS_DIR)
+    os.makedirs(claims, exist_ok=True)
+    prefixes = os.listdir(claims) + [
+        name.split("_", 1)[0] for name in os.listdir(directory)
+        if name.endswith(".json")
+    ]
+    seq = max((int(p) for p in prefixes if p.isdigit()), default=-1) + 1
+    while True:
+        try:
+            fd = os.open(
+                os.path.join(claims, f"{seq:06d}"),
+                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+            )
+        except FileExistsError:
+            seq += 1
+            continue
+        os.close(fd)
+        return seq
 
 
 # ----------------------------------------------------------------------
@@ -238,8 +276,8 @@ def list_runs(
     """Every recorded manifest in recording (filename) order.
 
     Each returned dict gains a non-schema ``path`` key for display.
-    Malformed files raise — a corrupt ledger should be loud, not
-    silently skipped.
+    Malformed files raise ``ValueError`` naming the file — a corrupt
+    ledger should be loud, not silently skipped.
     """
     directory = resolve_dir(directory)
     if not os.path.isdir(directory):
@@ -249,9 +287,14 @@ def list_runs(
         if not name.endswith(".json"):
             continue
         path = os.path.join(directory, name)
-        with open(path) as fh:
-            manifest = json.load(fh)
-        validate_manifest(manifest)
+        try:
+            with open(path) as fh:
+                manifest = json.load(fh)
+            if not isinstance(manifest, dict):
+                raise ValueError("not a JSON object")
+            validate_manifest(manifest)
+        except ValueError as exc:  # json.JSONDecodeError included
+            raise ValueError(f"malformed ledger manifest {path}: {exc}") from exc
         if verb is not None and manifest.get("verb") != verb:
             continue
         manifest["path"] = path

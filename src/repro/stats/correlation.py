@@ -17,12 +17,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import InvalidArgument
+
+# numpy is imported inside the functions that use it: ``import repro``
+# reaches this module, and a module-level import would charge every
+# interpreter start (and every spawned worker) for numpy.
 
 
 def _as_arrays(xs: Sequence[float], ys: Sequence[float]):
+    import numpy as np
+
     if len(xs) != len(ys):
         raise InvalidArgument(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
@@ -32,6 +36,8 @@ def _as_arrays(xs: Sequence[float], ys: Sequence[float]):
 
 def correlation_coefficient(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Pearson correlation coefficient, Equation (1) of the paper."""
+    import numpy as np
+
     x, y = _as_arrays(xs, ys)
     dx, dy = x - x.mean(), y - y.mean()
     denom = float(np.sqrt((dx * dx).sum() * (dy * dy).sum()))

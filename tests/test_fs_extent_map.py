@@ -149,3 +149,8 @@ def test_matches_naive_model(operations):
         want = model.get(page)
         assert got == (want * B if want is not None else None), page
     assert m.mapped_bytes == len(model) * B
+    for start in range(0, 140, 7):
+        for count in (1, 5, 33):
+            pieces = m.map_range(start * B, count * B)
+            assert m.disk_ranges(start * B, count * B) == [
+                (disk, n) for disk, n in pieces if disk is not None]

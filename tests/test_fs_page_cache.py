@@ -64,3 +64,32 @@ def test_drop_clean_keeps_dirty():
     assert dropped == 2
     assert (1, 2) in cache
     assert (1, 0) not in cache
+
+
+def test_probe_pages_matches_probing_one_page_at_a_time():
+    import random
+
+    rng = random.Random(7)
+    batch, single = PageCache(capacity_pages=24), PageCache(capacity_pages=24)
+    for _ in range(400):
+        ino, first = rng.randrange(3), rng.randrange(40)
+        last = first + rng.randrange(8)
+        action = rng.random()
+        if action < 0.5:
+            missing = batch.probe_pages(ino, first, last)
+            expected = [
+                page for page in range(first, last + 1)
+                if not single.probe((ino, page))
+            ]
+            assert missing == expected
+        elif action < 0.8:
+            keys = [(ino, page) for page in range(first, last + 1)]
+            assert batch.fill(keys) == single.fill(keys)
+        elif action < 0.95:
+            keys = [(ino, page) for page in range(first, last + 1)]
+            assert batch.mark_dirty(keys) == single.mark_dirty(keys)
+        else:
+            batch.invalidate_inode(ino)
+            single.invalidate_inode(ino)
+        assert list(batch._lru) == list(single._lru)  # same LRU order
+        assert batch.stats == single.stats

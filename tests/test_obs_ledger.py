@@ -9,6 +9,8 @@ over it.
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 import pytest
 
@@ -124,6 +126,78 @@ def test_resolve_dir_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_LEDGER_DIR", str(tmp_path))
     assert ledger.resolve_dir() == str(tmp_path)
     assert ledger.resolve_dir("explicit") == "explicit"
+
+
+def _seq(path: str) -> str:
+    return os.path.basename(path).split("_")[0]
+
+
+def test_deleted_manifest_never_frees_its_sequence_number(tmp_path):
+    directory = str(tmp_path / "ledger")
+    paths = [
+        ledger.record_run("fleet", {**FLEET_DOC, "fingerprint": f"{i:016x}"},
+                          directory=directory)
+        for i in range(3)
+    ]
+    os.remove(paths[1])
+    paths.append(ledger.record_run("perf", PERF_DOC, directory=directory))
+    os.remove(paths[-1])  # even the newest number stays claimed
+    paths.append(ledger.record_run("perf", PERF_DOC, directory=directory))
+    assert [_seq(p) for p in paths] == [
+        "000000", "000001", "000002", "000003", "000004"]
+    listed = [_seq(run["path"]) for run in ledger.list_runs(directory)]
+    assert listed == ["000000", "000002", "000004"]
+    assert len(set(listed)) == len(listed)
+
+
+def test_claimed_numbers_are_skipped(tmp_path):
+    """A number another run claimed (its manifest not yet written) is
+    never handed out again."""
+    directory = str(tmp_path / "ledger")
+    os.makedirs(os.path.join(directory, ledger.CLAIMS_DIR))
+    open(os.path.join(directory, ledger.CLAIMS_DIR, "000005"), "w").close()
+    path = ledger.record_run("fleet", FLEET_DOC, directory=directory)
+    assert _seq(path) == "000006"
+
+
+def test_concurrent_recorders_get_distinct_numbers(tmp_path):
+    directory = str(tmp_path / "ledger")
+    paths = []
+
+    def record(worker: int) -> None:
+        for i in range(3):
+            doc = {**FLEET_DOC, "fingerprint": f"{worker:08x}{i:08x}"}
+            paths.append(ledger.record_run("fleet", doc, directory=directory))
+
+    threads = [threading.Thread(target=record, args=(w,)) for w in range(6)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    seqs = sorted(_seq(p) for p in paths)
+    assert seqs == [f"{n:06d}" for n in range(18)]
+    assert len(ledger.list_runs(directory)) == 18
+
+
+def test_recording_leaves_no_temporary_files(tmp_path):
+    directory = str(tmp_path / "ledger")
+    path = ledger.record_run("fleet", FLEET_DOC, directory=directory)
+    names = sorted(os.listdir(directory))
+    assert names == [ledger.CLAIMS_DIR, os.path.basename(path)]
+
+
+def test_torn_manifest_is_named_in_the_error(tmp_path):
+    directory = str(tmp_path / "ledger")
+    ledger.record_run("fleet", FLEET_DOC, directory=directory)
+    torn = os.path.join(directory, "000001_perf_0123456789ab.json")
+    with open(torn, "w") as fh:
+        fh.write('{"schema": "repro.ledger/v1", "verb": ')
+    with pytest.raises(ValueError, match="000001_perf_0123456789ab.json"):
+        ledger.list_runs(directory)
+    with open(torn, "w") as fh:
+        fh.write("[1, 2]")
+    with pytest.raises(ValueError, match="not a JSON object"):
+        ledger.list_runs(directory)
 
 
 def test_tables_render_across_verbs(tmp_path):
