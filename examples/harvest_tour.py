@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Harvest tour: worker telemetry surviving the process boundary.
 
-Runs a fault-campaign series across 2 spawned workers with the full
-observability plane armed — metrics, spans, ring events, *and* causal
-provenance.  Before the harvest plane existed, everything the workers
-measured died with them; now each shard's telemetry is captured into a
-snapshot, merged into the parent strictly in shard order, and the tour
-shows what came back:
+Runs the bench smoke figures across 2 spawned workers with the
+observability plane armed.  Spawned workers start from the null
+instrumentation, so each figure runs under its own child plane whose
+snapshot rides back with the result and merges into the parent strictly
+in shard order.  Then an armed fleet shows the same merge in process:
+every volume records onto its own child plane, provenance included.
+The tour shows what came back:
 
-- merged counters (fault injections, worker-side `par.*` mirrors, one
-  `obs.harvest.snapshots` tick per shard),
+- merged counters (`par.*` mirrors, one `obs.harvest.snapshots` tick
+  per merged snapshot),
 - per-shard span tracks (`shard0/...`, `shard1/...`),
-- a flamegraph built from the *merged* provenance ring — worker pids
-  were re-based on merge, so the combined ring still parses into one
-  syscall→command forest,
+- a flamegraph built from the fleet's *merged* provenance ring — volume
+  pids were re-based on merge, so the combined ring still parses into
+  one syscall→command forest,
 - and the run's manifest appended to the persistent ledger, queried
   back with the same machinery `repro runs` uses.
 
@@ -22,7 +23,8 @@ Run:  PYTHONPATH=src python examples/harvest_tour.py
 
 import time
 
-from repro.faults.campaign import CampaignConfig, run_campaign_series
+from repro.bench.suite import run_suite
+from repro.fleet import FleetConfig, run_fleet
 from repro.obs import hooks, ledger
 from repro.obs.critical_path import write_flamegraph
 from repro.obs.hooks import Instrumentation
@@ -30,25 +32,24 @@ from repro.obs.provenance import build_forest
 
 FLAME_PATH = "harvest_tour_flame.txt"
 LEDGER_DIR = "harvest_tour_ledger"
-TRIALS = 4
 WORKERS = 2
 
 
 def main() -> None:
-    obs = Instrumentation(provenance=True)
-    config = CampaignConfig(seed=11, files=2)
+    obs = Instrumentation()
     start = time.perf_counter()
     with hooks.use(obs):
-        series = run_campaign_series(config, trials=TRIALS, workers=WORKERS)
+        document, _ = run_suite(smoke=True, label="harvest-tour", obs=obs,
+                                workers=WORKERS)
     wall_s = time.perf_counter() - start
 
-    print(f"== campaign series: {TRIALS} trials across {WORKERS} workers ==")
-    print(f"  fingerprint : {series.fingerprint}")
+    print(f"== bench smoke figures across {WORKERS} workers ==")
+    print(f"  fingerprint : {document['fingerprint']}")
     print(f"  wall        : {wall_s:.3f} s")
 
     print("\n== counters that crossed the process boundary ==")
     metrics = obs.registry.to_dict()
-    for name in ("faults.injected.total", "par.plans", "par.shards",
+    for name in ("block.requests", "par.plans", "par.shards",
                  "obs.harvest.snapshots"):
         print(f"  {name:24s} {metrics[name]['value']:>8.0f}")
 
@@ -57,21 +58,22 @@ def main() -> None:
     for track in tracks[:8]:
         print(f"  {track}")
 
-    # the merged ring parses into one forest: worker pids were re-based
-    forest = build_forest(obs.spans)
+    # per-volume planes with provenance, merged back in spec order: the
+    # merged ring parses into one forest because pids were re-based
+    fleet_obs = Instrumentation(provenance=True)
+    with hooks.use(fleet_obs):
+        run_fleet(FleetConfig.smoke(volumes=4, seed=11))
+    forest = build_forest(fleet_obs.spans)
     trees = forest.complete_trees()
-    print(f"\n== merged provenance: {len(trees)} complete syscall trees ==")
-    write_flamegraph(FLAME_PATH, forest, obs.spans)
+    print(f"\n== merged fleet provenance: {len(trees)} complete syscall trees ==")
+    write_flamegraph(FLAME_PATH, forest, fleet_obs.spans)
     print(f"wrote collapsed-stack flamegraph to {FLAME_PATH} "
           "(feed to flamegraph.pl or speedscope)")
 
     # append this run to a ledger and query it back, `repro runs`-style
-    document = {"fingerprint": series.fingerprint,
-                "series": series.to_dict(), "ok": True, "sweeps": []}
     ledger.record_run(
-        "faults", document, label="harvest-tour", seed=config.seed,
-        workers=WORKERS, args={"trials": TRIALS}, wall_s=wall_s,
-        directory=LEDGER_DIR,
+        "bench", document, label="harvest-tour", workers=WORKERS,
+        args={"smoke": True}, wall_s=wall_s, directory=LEDGER_DIR,
     )
     runs = ledger.list_runs(LEDGER_DIR)
     print(f"\n== run ledger ({LEDGER_DIR}/, {len(runs)} run(s)) ==")

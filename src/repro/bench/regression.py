@@ -24,6 +24,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..docio import write_json
+
 #: document schema tag; bump on incompatible layout changes
 SCHEMA = "repro.bench/v1"
 
@@ -64,9 +66,7 @@ def build_document(
 
 
 def save(path: str, document: Dict[str, object]) -> None:
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, document)
 
 
 def load(path: str) -> Dict[str, object]:

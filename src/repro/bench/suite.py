@@ -158,6 +158,26 @@ def _merge_worker_snapshots(obs, snapshots) -> None:
         )
 
 
+def run_figure_shards(
+    config: Dict[str, object], workers: Optional[int] = None
+) -> List[Tuple[str, Dict[str, object], harvest.TelemetrySnapshot]]:
+    """Run the sharded figures — each synthetic device grid, then the
+    fileserver figure — as ``(kind, figure, snapshot)`` in shard order.
+
+    Serial and parallel run the same shard function, per-figure isolation
+    either way, so the figures match by construction.
+    """
+    from ..par import run_sharded
+
+    payloads = [(device, config) for device in config["synthetic"]["devices"]]
+    payloads.append(("fileserver", config))
+    results = run_sharded(_bench_shard, payloads, workers)
+    return [
+        (kind, figure, snapshot)
+        for (kind, _), (figure, snapshot) in zip(payloads, results)
+    ]
+
+
 def run_suite(
     smoke: bool = False,
     label: str = "local",
@@ -169,7 +189,6 @@ def run_suite(
     The trace result is returned separately so the CLI can also export
     the Chrome trace (spans + fragmentation timeline) from the same run.
     """
-    from ..par import run_sharded
     from .experiments import fig11_fileserver, obs_trace, synthetic_defrag
 
     config = suite_config(smoke)
@@ -178,23 +197,14 @@ def run_suite(
         obs = Instrumentation()
 
     syn = config["synthetic"]
-    payloads = [(device, config) for device in syn["devices"]]
-    payloads.append(("fileserver", config))
-    # serial and parallel run the same shard function — per-figure
-    # isolation either way, so the documents match by construction.
-    # harvest=False: the shard fn manages its own instrumentation and
-    # returns its own snapshots, merged below.
-    sharded = run_sharded(
-        _bench_shard, payloads, workers=workers, label="bench figure",
-        harvest=False,
-    )
-    for (kind, _), (figure, _snapshot) in zip(payloads, sharded):
+    sharded = run_figure_shards(config, workers)
+    for kind, figure, _snapshot in sharded:
         key = (
             f"fileserver_{config['fileserver']['device']}"
             if kind == "fileserver" else f"synthetic_{syn['fs_type']}_{kind}"
         )
         figures[key] = figure
-    _merge_worker_snapshots(obs, [snap for _, snap in sharded])
+    _merge_worker_snapshots(obs, [snapshot for _, _, snapshot in sharded])
 
     # obs_trace manages its own instrumentation context (fresh registry),
     # which keeps its whole-run attribution self-contained

@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="skip the bundled cProfile hot-function table")
     perf.add_argument("--scaling", action="store_true",
                       help="also measure the parallel engine's scaling "
-                           "curve (workers=1/2/4/8 over a fault-campaign "
-                           "series) and record it in the document")
+                           "curve (workers=1/2/4/8 over the bench figure "
+                           "shards) and record it in the document")
     cli_util.add_workers_arg(perf)
     cli_util.add_document_args(
         perf, "PERF", "PERF", threshold=0.20,
@@ -269,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also dump the metrics registry as JSON here")
     fleet.add_argument("--prom", default=None, metavar="PATH",
                        help="also dump Prometheus text-format metrics here")
-    cli_util.add_workers_arg(fleet)
     cli_util.add_document_args(fleet, "FLEET", "FLEET", threshold=0.10)
     cli_util.add_ledger_args(fleet)
     slo = sub.add_parser(
@@ -356,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--smoke", action="store_true",
                         help="no trace needed: generate a small seeded "
                              "corpus in a temp dir and replay it (CI smoke)")
-    cli_util.add_workers_arg(replay)
     cli_util.add_document_args(replay, "REPLAY", "REPLAY", threshold=0.10)
     cli_util.add_ledger_args(replay)
     faults = sub.add_parser(
@@ -372,14 +370,15 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--devices", nargs="+", default=None, metavar="DEV",
                         choices=["hdd", "microsd", "flash", "optane"],
                         help="sweep crash points on several device models")
-    faults.add_argument("--fs-type", default="ext4", choices=["ext4"],
-                        help="crash sweep targets the in-place migration path")
+    faults.add_argument("--fs-type", default="ext4",
+                        choices=["ext4", "f2fs", "btrfs"],
+                        help="filesystem personality the crash sweeps and "
+                             "campaign run on (default ext4)")
     faults.add_argument("--json", default=None, metavar="PATH",
                         help="also write the survival report as JSON here")
     faults.add_argument("--trials", type=int, default=None, metavar="N",
                         help="also run an N-trial seed-perturbed campaign "
                              "series (fingerprinted per trial)")
-    cli_util.add_workers_arg(faults)
     cli_util.add_ledger_args(faults)
     runs = sub.add_parser(
         "runs",
@@ -634,9 +633,9 @@ def _run_fleet(args) -> int:
     if armed:
         obs = Instrumentation()
         with obs_hooks.use(obs):
-            report = run_fleet(config, slo=monitor, workers=args.workers)
+            report = run_fleet(config, slo=monitor)
     else:
-        report = run_fleet(config, slo=monitor, workers=args.workers)
+        report = run_fleet(config, slo=monitor)
     wall_s = time.perf_counter() - start
 
     print(report.text())
@@ -753,7 +752,7 @@ def _run_replay(args) -> int:
     if args.generate is not None:
         profile = TraceProfile(ops=args.generate, seed=args.seed,
                                files=args.files)
-        written = generate_trace(args.out, profile, workers=args.workers)
+        written = generate_trace(args.out, profile)
         size = os.path.getsize(args.out)
         print(f"wrote {written} records ({size} bytes) to {args.out} "
               f"(seed {args.seed}, {args.files} files)")
@@ -804,7 +803,6 @@ def _run_faults(args) -> int:
         fs_type=args.fs_type,
         devices=args.devices,
         smoke=args.smoke,
-        workers=args.workers,
         trials=args.trials,
     )
     wall_s = time.perf_counter() - start

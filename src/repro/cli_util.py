@@ -49,8 +49,9 @@ def add_document_args(
 def add_workers_arg(parser: argparse.ArgumentParser) -> None:
     """Attach the shared ``--workers N`` flag (default: serial path).
 
-    Every verb that accepts it routes through :mod:`repro.par`, whose
-    canonical merge makes the parallel output byte-identical to serial.
+    Only ``bench`` and ``perf`` take it: both route their shards through
+    :mod:`repro.par`, whose canonical merge makes the parallel output
+    byte-identical to serial.
     """
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",

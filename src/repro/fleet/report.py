@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..bench.regression import Comparison, Finding
 from ..constants import MIB
+from ..docio import write_json
 
 #: document schema tag; bump on incompatible layout changes
 SCHEMA = "repro.fleet/v1"
@@ -260,9 +261,7 @@ def fingerprint(document: Dict[str, object]) -> str:
 
 
 def save(path: str, document: Dict[str, object]) -> None:
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, document)
 
 
 def load(path: str) -> Dict[str, object]:

@@ -89,8 +89,7 @@ class Volume:
 
         Live ``obs_hooks.current()`` readers — the concurrency engine's
         actor events, journal recovery, job construction — must run
-        inside this scope so armed serial and sharded runs record onto
-        the same per-volume plane.
+        inside this scope so they record onto the per-volume plane.
         """
         from contextlib import nullcontext
 

@@ -1,15 +1,14 @@
-"""Cross-process telemetry harvest: capture in workers, merge in parents.
+"""Telemetry harvest: capture child planes, merge them into a parent.
 
 ``repro.par`` workers start from :func:`repro.par.reset_worker_state`,
-which installs the null :class:`~repro.obs.hooks.Instrumentation` — so
-before this module existed, a ``--workers N`` run silently discarded
-every metric, span, ring event, and provenance edge its shards produced.
-The harvest plane closes that hole the way production telemetry
-pipelines do (Chrome ``trace_event`` aggregation, Prometheus
-federation): each shard runs under a **fresh child instrumentation**,
-its state is captured at shard end into a picklable
-:class:`TelemetrySnapshot`, the snapshot rides back to the parent
-alongside the shard's payload, and the parent merges snapshots into its
+which installs the null :class:`~repro.obs.hooks.Instrumentation`, so a
+``--workers N`` bench would otherwise discard every metric, span, and
+ring event its shards produced.  The harvest plane closes that hole the
+way production telemetry pipelines do (Chrome ``trace_event``
+aggregation, Prometheus federation): each bench figure runs under a
+**fresh child instrumentation** (as does each fleet volume, in process),
+its state is captured at the end into a picklable
+:class:`TelemetrySnapshot`, and the parent merges snapshots into its
 own armed instrumentation **strictly in shard order**:
 
 - counters sum; gauges keep the last shard's reading but remember the
@@ -27,12 +26,11 @@ own armed instrumentation **strictly in shard order**:
   merged ring still parses into one forest via
   :func:`repro.obs.provenance.build_forest`.
 
-The crucial determinism property: the **serial** path of
-:class:`repro.par.ParallelPlan` performs the *same* child-capture-merge
-dance per shard, so an armed ``--workers N`` run renders byte-identical
-metrics tables, Prometheus text, and Chrome traces to the serial run —
-guarded by ``tests/test_obs_determinism.py`` and the ``obs-par-smoke``
-CI job.
+The crucial determinism property: the **serial** bench path performs
+the *same* child-capture-merge dance per figure, so an armed
+``--workers N`` bench renders byte-identical metrics tables, Prometheus
+text, and Chrome traces to the serial run — guarded by
+``tests/test_obs_determinism.py`` and the ``obs-par-smoke`` CI job.
 """
 
 from __future__ import annotations
@@ -235,5 +233,5 @@ def capture(
 
 
 def shard_track_prefix(index: int) -> str:
-    """The reserved track namespace for shard ``index`` of a plan."""
+    """The reserved track namespace for shard ``index`` of a sharded run."""
     return f"shard{index}/"

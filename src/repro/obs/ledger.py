@@ -31,6 +31,7 @@ import json
 import os
 from typing import Dict, List, Optional
 
+from ..docio import write_json
 from ..stats.tables import format_table
 
 SCHEMA = "repro.ledger/v1"
@@ -212,11 +213,7 @@ def record_run(
     seq = _claim_seq(directory)
     name = f"{seq:06d}_{verb}_{manifest['fingerprint'][:12]}.json"
     path = os.path.join(directory, name)
-    temp = os.path.join(directory, f".{name}.tmp")
-    with open(temp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(temp, path)
+    write_json(path, manifest)
     return path
 
 

@@ -39,6 +39,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..docio import write_json
 from .timeseries import MAX_VALUES, MAX_WINDOWS, TimeSeriesStore
 
 #: document schema tag; bump on incompatible layout changes
@@ -416,9 +417,7 @@ def build_document(
 
 
 def save(path: str, document: Dict[str, object]) -> None:
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, document)
 
 
 def load(path: str) -> Dict[str, object]:

@@ -1,40 +1,19 @@
 """Deterministic fan-out across worker processes.
 
-Every heavy run in this repo — fault campaigns, crash-point sweeps, the
-bench/perf suites, fleet ticks, corpus generation — is seed-keyed and
-decomposes into independent shards.  This module executes those shards
-on N spawned interpreters while keeping every fingerprinted document
-**byte-identical to the serial run**: results are collected in shard
-order (never completion order), floats are merged in the same order the
-serial code would have produced them, and workers start from scrubbed
-process-global state.
+Two verbs shard their work across spawned interpreters: ``repro bench``
+(one shard per figure) and ``repro perf`` (one shard per pinned layer).
+:func:`run_sharded` executes those shards on N spawned workers while
+keeping every fingerprinted document **byte-identical to the serial
+run**: results are collected in shard order (never completion order)
+and workers start from scrubbed process-global state.  A shard that
+raises surfaces as :class:`ShardError` carrying the shard index, and
+every already-collected partial result is discarded.
 
-Two execution shapes:
-
-- :class:`ParallelPlan` — stateless shards through a spawn-context
-  ``ProcessPoolExecutor``.  One payload in, one result out; a shard that
-  raises surfaces as :class:`ShardError` carrying the shard index, and
-  every already-collected partial result is discarded.  A per-shard
-  wall-clock timeout degrades gracefully: the straggler is cancelled and
-  its payload re-executed serially in the parent, counted in the
-  ``par.shard_timeouts`` / ``par.serial_fallbacks`` metrics — work is
-  never silently dropped.
-- :class:`StickyPool` — N persistent spawned workers each hosting one
-  long-lived stateful shard (the fleet's volumes), driven over pipes
-  with a ``call``/``call_all``/``call_each`` protocol.  Used where
-  shards must retain state across rounds (fleet ticks).
-
-When the ambient :class:`~repro.obs.hooks.Instrumentation` is armed,
-plans **harvest** worker telemetry (:mod:`repro.obs.harvest`): each
-shard runs under a fresh child instrumentation — in the worker *and* on
-the serial path — whose :class:`TelemetrySnapshot` is merged into the
-parent in shard order, so armed ``--workers N`` exports stay
-byte-identical to serial and nothing a worker measured is lost.
-
-``workers=None`` everywhere means the legacy serial path — byte-for-byte
-the pre-parallel code — so committed baselines and CI stay valid; any
-``workers >= 1`` goes through the engine (``--workers 1`` must equal
-``--workers 4``, which the determinism tests assert).
+``workers=None`` means the serial path: the shard function runs inline,
+in payload order.  Shard functions that need telemetry manage their own
+instrumentation and return it (the bench suite's per-figure snapshots);
+the engine itself only mirrors ``par.plans`` / ``par.shards`` into an
+armed ambient plane, identically on both paths.
 
 Spawn (not fork) is used on every platform: each worker imports the
 package fresh, so no parent caches, hook installations, or debug flags
@@ -46,9 +25,7 @@ from __future__ import annotations
 
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from .errors import InvalidArgument, ReproError
 
@@ -106,34 +83,10 @@ def reset_worker_state() -> None:
     fault_hooks.install(fault_hooks.NULL)
 
 
-def _spawn_context():
-    import multiprocessing
-
-    return multiprocessing.get_context("spawn")
-
-
-def _call_shard(
-    fn: Callable, index: int, payload: object, spec=None
-) -> object:
-    """Worker-side wrapper: tag any failure with its shard index.
-
-    With a :class:`~repro.obs.harvest.HarvestSpec`, the shard runs under
-    a fresh armed child instrumentation and returns ``(result,
-    TelemetrySnapshot)`` — the parent merges the snapshot in shard order
-    so a ``--workers N`` run loses no telemetry.
-    """
+def _call_shard(fn: Callable, index: int, payload: object) -> object:
+    """Worker-side wrapper: tag any failure with its shard index."""
     try:
-        if spec is None:
-            return fn(payload)
-        from .obs import harvest
-        from .obs import hooks as obs_hooks
-
-        child = spec.child()
-        with obs_hooks.use(child):
-            result = fn(payload)
-        return result, harvest.capture(child)
-    except ShardError:
-        raise
+        return fn(payload)
     except Exception as exc:
         raise ShardError(
             f"shard {index} failed: {type(exc).__name__}: {exc}",
@@ -143,332 +96,46 @@ def _call_shard(
         ) from None
 
 
-@dataclass
-class PlanStats:
-    """What one :meth:`ParallelPlan.run` did (mirrored into obs)."""
-
-    shards: int = 0
-    parallel: bool = False
-    timeouts: int = 0
-    serial_fallbacks: int = 0
-
-
-class ParallelPlan:
-    """Shard a seed-keyed work list across spawned workers.
-
-    ``fn`` must be a picklable module-level callable taking one payload;
-    payloads must pickle too.  :meth:`run` returns results **in payload
-    order** regardless of completion order — the canonical merge that
-    makes parallel output order-independent, hence byte-identical to
-    serial.
-    """
-
-    def __init__(
-        self,
-        fn: Callable[[object], object],
-        payloads: Sequence[object],
-        workers: Optional[int] = None,
-        timeout_s: Optional[float] = None,
-        label: str = "par",
-        harvest: bool = True,
-    ) -> None:
-        self.fn = fn
-        self.payloads = list(payloads)
-        self.workers = resolve_workers(workers)
-        self.timeout_s = timeout_s
-        self.label = label
-        #: harvest=False opts out of plan-level telemetry capture for
-        #: call sites whose shard fn manages its own instrumentation and
-        #: returns its own snapshots (the bench suite)
-        self.harvest = harvest
-        self.stats = PlanStats()
-
-    def run(self) -> List[object]:
-        from .obs import hooks as obs_hooks
-
-        payloads = self.payloads
-        self.stats = PlanStats(
-            shards=len(payloads),
-            parallel=self.workers is not None and len(payloads) > 0,
-        )
-        obs = obs_hooks.current()
-        spec = self._harvest_spec(obs)
-        if self.workers is None or not payloads:
-            results = self._run_serial(payloads, obs, spec)
-        else:
-            results = self._run_pool(payloads, obs, spec)
-        # mirrored on BOTH paths: armed serial and parallel runs must
-        # export identical par.* counters (the byte-parity contract)
-        self._mirror(obs)
-        return results
-
-    def _harvest_spec(self, obs):
-        if not (self.harvest and obs.enabled):
-            return None
-        from .obs import harvest
-
-        return harvest.HarvestSpec.from_obs(obs)
-
-    def _run_serial(self, payloads, obs, spec) -> List[object]:
-        if spec is None:
-            return [self.fn(payload) for payload in payloads]
-        # Same per-shard child-capture-merge dance as the pool path, so
-        # serial and parallel armed runs accumulate float sums in the
-        # identical grouping and order (byte-identical exports).
-        return [
-            self._harvested_call(index, payload, obs, spec)
-            for index, payload in enumerate(payloads)
-        ]
-
-    def _harvested_call(self, index, payload, obs, spec) -> object:
-        from .obs import harvest
-        from .obs import hooks as obs_hooks
-
-        child = spec.child()
-        with obs_hooks.use(child):
-            result = self.fn(payload)
-        harvest.capture(child).merge_into(
-            obs, track_prefix=harvest.shard_track_prefix(index)
-        )
-        return result
-
-    def _run_pool(self, payloads: List[object], obs, spec) -> List[object]:
-        from .obs import harvest
-
-        pool = ProcessPoolExecutor(
-            max_workers=min(self.workers, len(payloads)),
-            mp_context=_spawn_context(),
-            initializer=reset_worker_state,
-        )
-        results: List[object] = [None] * len(payloads)
-        hung = False
-        try:
-            futures = [
-                pool.submit(_call_shard, self.fn, index, payload, spec)
-                for index, payload in enumerate(payloads)
-            ]
-            # Collect strictly in shard order: the merge is independent
-            # of which worker finishes first.  Each shard's wait doubles
-            # as its wall-clock timeout window.  Snapshot merges happen
-            # inside this loop, so they land in shard order too.
-            for index, future in enumerate(futures):
-                try:
-                    value = future.result(timeout=self.timeout_s)
-                except (_FuturesTimeout, TimeoutError):
-                    future.cancel()
-                    hung = True
-                    self.stats.timeouts += 1
-                    # graceful degradation: re-execute the straggler's
-                    # payload serially in the parent — same fn, same
-                    # payload, same deterministic result (harvested the
-                    # same way, so no telemetry is lost either)
-                    if spec is None:
-                        results[index] = self.fn(payloads[index])
-                    else:
-                        results[index] = self._harvested_call(
-                            index, payloads[index], obs, spec
-                        )
-                    self.stats.serial_fallbacks += 1
-                    continue
-                if spec is None:
-                    results[index] = value
-                else:
-                    results[index], snapshot = value
-                    snapshot.merge_into(
-                        obs, track_prefix=harvest.shard_track_prefix(index)
-                    )
-        except ShardError:
-            # partial results are discarded: the caller sees only the
-            # failure, never a half-merged document
-            raise
-        finally:
-            # a hung worker would block a waiting shutdown forever
-            pool.shutdown(wait=not hung, cancel_futures=True)
-        return results
-
-    def _mirror(self, obs=None) -> None:
-        if obs is None:
-            from .obs import hooks as obs_hooks
-
-            obs = obs_hooks.current()
-        if not obs.enabled:
-            return
-        registry = obs.registry
-        registry.counter("par.plans").inc()
-        registry.counter("par.shards").inc(self.stats.shards)
-        if self.stats.timeouts:
-            registry.counter("par.shard_timeouts").inc(self.stats.timeouts)
-            registry.counter("par.serial_fallbacks").inc(
-                self.stats.serial_fallbacks
-            )
-
-
 def run_sharded(
     fn: Callable[[object], object],
     payloads: Sequence[object],
     workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    label: str = "par",
-    harvest: bool = True,
 ) -> List[object]:
-    """One-shot :class:`ParallelPlan` (the common call-site shape)."""
-    return ParallelPlan(
-        fn, payloads, workers=workers, timeout_s=timeout_s, label=label,
-        harvest=harvest,
-    ).run()
+    """Run ``fn`` over ``payloads``; results come back in payload order.
 
-
-# ----------------------------------------------------------------------
-# persistent stateful workers
-# ----------------------------------------------------------------------
-
-
-def _sticky_worker_main(conn, factory, payload, index: int) -> None:
-    """Worker loop: build the shard state, then serve method calls."""
-    reset_worker_state()
-    try:
-        state = factory(payload)
-    except Exception as exc:
-        conn.send(("err", ShardError(
-            f"shard {index} failed to build: {type(exc).__name__}: {exc}",
-            shard=index,
-            cause_type=type(exc).__name__,
-            traceback_text=traceback.format_exc(),
-        )))
-        conn.close()
-        return
-    conn.send(("ok", None))  # ready handshake
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
-            if message[0] == "close":
-                break
-            _, method, args, kwargs = message
-            try:
-                result = getattr(state, method)(*args, **kwargs)
-                conn.send(("ok", result))
-            except Exception as exc:
-                conn.send(("err", ShardError(
-                    f"shard {index} {method}() failed: "
-                    f"{type(exc).__name__}: {exc}",
-                    shard=index,
-                    cause_type=type(exc).__name__,
-                    traceback_text=traceback.format_exc(),
-                )))
-    finally:
-        close = getattr(state, "close", None)
-        if callable(close):
-            try:
-                close()
-            except Exception:
-                pass
-        conn.close()
-
-
-class StickyPool:
-    """N persistent spawned workers, each hosting one stateful shard.
-
-    ``factory`` (picklable, module-level) builds shard ``i``'s state from
-    ``payloads[i]`` inside worker ``i``; the state then serves method
-    calls until :meth:`close`, which also invokes its ``close()`` if it
-    has one.  ``timeout_s`` bounds every reply wait (build included) —
-    a silent shard raises :class:`ShardError` instead of hanging the run.
+    ``fn`` must be a picklable module-level callable taking one payload,
+    and payloads must pickle too (unless ``workers`` is None).  Results
+    are collected strictly in shard order regardless of which worker
+    finishes first — the canonical merge that makes parallel output
+    byte-identical to serial.
     """
+    from .obs import hooks as obs_hooks
 
-    def __init__(
-        self,
-        factory: Callable[[object], object],
-        payloads: Sequence[object],
-        label: str = "shard",
-        timeout_s: Optional[float] = None,
-    ) -> None:
-        ctx = _spawn_context()
-        self.label = label
-        self.timeout_s = timeout_s
-        self._conns = []
-        self._procs = []
+    payloads = list(payloads)
+    workers = resolve_workers(workers)
+    if workers is None or not payloads:
+        results = [fn(payload) for payload in payloads]
+    else:
+        import multiprocessing
+
+        pool = ProcessPoolExecutor(
+            max_workers=min(workers, len(payloads)),
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=reset_worker_state,
+        )
         try:
-            for index, payload in enumerate(payloads):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_sticky_worker_main,
-                    args=(child_conn, factory, payload, index),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-            for index in range(len(self._procs)):
-                self._recv(index)  # ready handshake (or build failure)
-        except BaseException:
-            self.close()
-            raise
-
-    def __len__(self) -> int:
-        return len(self._procs)
-
-    def __enter__(self) -> "StickyPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _recv(self, shard: int) -> object:
-        conn = self._conns[shard]
-        if self.timeout_s is not None and not conn.poll(self.timeout_s):
-            raise ShardError(
-                f"{self.label} {shard} timed out after {self.timeout_s}s",
-                shard=shard,
-            )
-        try:
-            kind, value = conn.recv()
-        except EOFError:
-            raise ShardError(
-                f"{self.label} {shard} died without replying", shard=shard
-            ) from None
-        if kind == "err":
-            raise value
-        return value
-
-    def call(self, shard: int, method: str, *args, **kwargs) -> object:
-        """Synchronous method call on one shard's state."""
-        self._conns[shard].send(("call", method, args, kwargs))
-        return self._recv(shard)
-
-    def call_all(self, method: str, *args, **kwargs) -> List[object]:
-        """Issue to every shard, then collect in shard order (the sends
-        overlap, so the shards execute concurrently)."""
-        for conn in self._conns:
-            conn.send(("call", method, args, kwargs))
-        return [self._recv(shard) for shard in range(len(self._conns))]
-
-    def call_each(
-        self, calls: Sequence[Tuple[int, str, tuple]]
-    ) -> List[object]:
-        """Issue per-shard calls concurrently; results in ``calls`` order.
-
-        At most one outstanding call per shard — replies on one pipe are
-        FIFO, so interleaving two methods to the same shard in one batch
-        would still collect correctly, but callers here never need it.
-        """
-        for shard, method, args in calls:
-            self._conns[shard].send(("call", method, args, {}))
-        return [self._recv(shard) for shard, _, _ in calls]
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(("close",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-        for conn in self._conns:
-            conn.close()
+            futures = [
+                pool.submit(_call_shard, fn, index, payload)
+                for index, payload in enumerate(payloads)
+            ]
+            # a ShardError propagates out of here with no partial results
+            results = [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    # mirrored on BOTH paths: armed serial and parallel runs must export
+    # identical par.* counters (the byte-parity contract)
+    obs = obs_hooks.current()
+    if obs.enabled:
+        obs.registry.counter("par.plans").inc()
+        obs.registry.counter("par.shards").inc(len(payloads))
+    return results

@@ -26,6 +26,8 @@ import platform
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..docio import write_json
+
 #: document schema tag; bump on incompatible layout changes
 SCHEMA = "repro.perf/v1"
 
@@ -66,9 +68,7 @@ def build_document(
 
 
 def save(path: str, document: Dict[str, object]) -> None:
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, document)
 
 
 def load(path: str) -> Dict[str, object]:

@@ -414,9 +414,7 @@ def run_suite(
         layer_cfg = dict(config[name])
         layer_cfg["seed"] = seed
         payloads.append((name, layer_cfg, repeats))
-    sharded = run_sharded(
-        _perf_shard, payloads, workers=workers, label="perf layer"
-    )
+    sharded = run_sharded(_perf_shard, payloads, workers)
     results = [LayerResult(name, ops, wall) for name, ops, wall in sharded]
     e2e_cfg = dict(config["end_to_end"])
     ops, wall = _best_of(lambda: _run_end_to_end(e2e_cfg), 1 if smoke else 2)
@@ -438,9 +436,9 @@ def scaling_curve(
     worker_counts: Tuple[int, ...] = (1, 2, 4, 8),
     smoke: bool = False,
 ) -> Dict[str, object]:
-    """Measure the parallel engine's wall-clock scaling on a pinned
-    workload (a seed-7 fault-campaign series) and return it in the
-    shape the PERF document records.
+    """Measure the parallel engine's wall-clock scaling on the bench
+    figure shards (the workload ``repro bench --workers`` parallelises)
+    and return it in the shape the PERF document records.
 
     ``speedup`` is serial wall over parallel wall; ``efficiency`` is
     speedup over worker count.  Purely a measurement — the sharded
@@ -448,20 +446,19 @@ def scaling_curve(
     """
     import os
 
-    from ..faults.campaign import CampaignConfig, run_campaign_series
+    from ..bench import suite as bench_suite
 
-    trials = 8 if smoke else 32
-    config = CampaignConfig(seed=7)
+    config = bench_suite.suite_config(smoke)
 
-    def timed(workers: Optional[int]) -> float:
+    def timed(workers: Optional[int]) -> Tuple[float, int]:
         t0 = time.perf_counter()
-        run_campaign_series(config, trials=trials, workers=workers)
-        return time.perf_counter() - t0
+        shards = bench_suite.run_figure_shards(config, workers)
+        return time.perf_counter() - t0, len(shards)
 
-    serial_wall = timed(None)
+    serial_wall, shards = timed(None)
     points = []
     for workers in worker_counts:
-        wall = timed(workers)
+        wall, _ = timed(workers)
         speedup = serial_wall / wall if wall > 0 else 0.0
         points.append({
             "workers": workers,
@@ -470,9 +467,9 @@ def scaling_curve(
             "efficiency": speedup / workers,
         })
     return {
-        "workload": "fault_campaign_series",
-        "seed": config.seed,
-        "trials": trials,
+        "workload": "bench_figure_shards",
+        "smoke": smoke,
+        "shards": shards,
         "host_cpus": os.cpu_count(),
         "serial_wall_s": serial_wall,
         "points": points,

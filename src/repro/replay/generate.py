@@ -11,16 +11,14 @@ needs the same memory as a 100-op one.
 
 from __future__ import annotations
 
-import io
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator
 
 from ..constants import BLOCK_SIZE, KIB, MIB
 from ..errors import InvalidArgument
-from ..par import run_sharded
 from ..types import IoOp
-from .formats import BinaryTraceWriter, HEADER_SIZE
+from .formats import BinaryTraceWriter
 
 
 @dataclass(frozen=True)
@@ -109,109 +107,9 @@ def generate_ops(profile: TraceProfile) -> Iterator[IoOp]:
         dirty_writes[file_id] = count
 
 
-#: ops per shard when ``generate_trace`` runs parallel (the boundary is
-#: part of the chunked scheme: it must not depend on the worker count)
-DEFAULT_CHUNK_OPS = 25_000
-
-
-def generate_ops_chunk(
-    profile: TraceProfile, start: int, count: int
-) -> Iterator[IoOp]:
-    """Ops ``[start, start + count)`` of the *chunked* seeded stream.
-
-    The chunked scheme differs from :func:`generate_ops` by design: each
-    chunk draws from its own RNG (keyed on the seed *and* the chunk's
-    start index) and resets the sequential cursors, so any chunk can be
-    produced without generating its predecessors.  Timestamps are
-    anchored to the global op index — op ``i`` lands in
-    ``[i*ia, i*ia + 0.5*ia)`` and a trailing fsync in
-    ``[i*ia + 0.5*ia, (i+1)*ia)`` — so the merged stream is monotonic
-    across chunk boundaries.  The output depends only on
-    ``(profile, start, count)``, never on how many workers ran.
-    """
-    rng = random.Random(f"repro.replay.gen:{profile.seed}:chunk:{start}")
-    files = profile.files
-    cursor: Dict[int, int] = {}
-    dirty_writes: Dict[int, int] = {}
-    interarrival = profile.interarrival
-    slots = max(1, profile.file_bytes // BLOCK_SIZE)
-    for index in range(start, start + count):
-        u = rng.random()
-        file_id = min(files - 1, int(files * (u ** profile.skew)))
-        size = rng.choice(profile.request_sizes)
-        if rng.random() < profile.sequential_fraction:
-            offset = cursor.get(file_id, 0)
-            if offset + size > profile.file_bytes:
-                offset = 0
-        else:
-            offset = rng.randrange(slots) * BLOCK_SIZE
-            offset = min(offset, profile.file_bytes - size)
-            offset -= offset % BLOCK_SIZE
-        cursor[file_id] = offset + size
-        is_read = rng.random() < profile.read_fraction
-        o_direct = rng.random() < profile.direct_fraction
-        now = index * interarrival + rng.random() * 0.5 * interarrival
-        if is_read:
-            yield IoOp("read", file_id, offset, size, now, o_direct)
-            continue
-        yield IoOp("write", file_id, offset, size, now, o_direct)
-        count_dirty = dirty_writes.get(file_id, 0) + 1
-        if profile.fsync_every and count_dirty >= profile.fsync_every:
-            now = index * interarrival + (
-                0.5 + rng.random() * 0.5
-            ) * interarrival
-            yield IoOp("fsync", file_id, 0, 0, now, o_direct)
-            count_dirty = 0
-        dirty_writes[file_id] = count_dirty
-
-
-def _generate_chunk(payload: Tuple[TraceProfile, int, int]) -> Tuple[bytes, int]:
-    """Shard fn: pack one chunk, return its header-stripped bytes."""
-    profile, start, count = payload
-    buffer = io.BytesIO()
-    writer = BinaryTraceWriter(buffer)
-    for record in generate_ops_chunk(profile, start, count):
-        writer.write_op(record)
-    writer.close()
-    return buffer.getvalue()[HEADER_SIZE:], writer.written
-
-
-def generate_trace(
-    path: str,
-    profile: TraceProfile,
-    workers: Optional[int] = None,
-    chunk_ops: int = DEFAULT_CHUNK_OPS,
-) -> int:
-    """Stream a seeded corpus to ``path``; returns records written.
-
-    Serial (``workers=None``) emits the legacy single-stream corpus of
-    :func:`generate_ops` — existing seeds keep their bytes.  With
-    ``workers`` the *chunked* scheme is used instead: the op range is
-    cut into fixed ``chunk_ops`` shards packed in worker processes and
-    concatenated in chunk order, so the file is byte-identical for any
-    worker count (but is a different — equally valid — corpus than the
-    serial stream for the same seed).
-    """
-    if workers is None:
-        with BinaryTraceWriter(path) as writer:
-            for record in generate_ops(profile):
-                writer.write_op(record)
-            return writer.written
-    if chunk_ops < 1:
-        raise InvalidArgument("chunk_ops must be >= 1")
-    payloads = [
-        (profile, start, min(chunk_ops, profile.ops - start))
-        for start in range(0, profile.ops, chunk_ops)
-    ]
-    chunks = run_sharded(
-        _generate_chunk, payloads, workers=workers, label="replay generate"
-    )
-    header = io.BytesIO()
-    BinaryTraceWriter(header).close()
-    total = 0
-    with open(path, "wb") as fh:
-        fh.write(header.getvalue())
-        for body, written in chunks:
-            fh.write(body)
-            total += written
-    return total
+def generate_trace(path: str, profile: TraceProfile) -> int:
+    """Stream a seeded corpus to ``path``; returns records written."""
+    with BinaryTraceWriter(path) as writer:
+        for record in generate_ops(profile):
+            writer.write_op(record)
+        return writer.written

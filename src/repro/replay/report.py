@@ -27,6 +27,7 @@ from typing import Dict, Optional
 from ..bench.regression import Comparison, Finding
 from ..constants import MIB
 from ..device import make_device
+from ..docio import write_json
 from ..errors import InvalidArgument
 from ..fs import make_filesystem
 from ..obs import analysis as obs_analysis
@@ -283,9 +284,7 @@ def fingerprint(document: Dict[str, object]) -> str:
 
 
 def save(path: str, document: Dict[str, object]) -> None:
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, document)
 
 
 def load(path: str) -> Dict[str, object]:

@@ -66,6 +66,34 @@ def test_faults_smoke_survives(capsys, tmp_path):
     assert doc["campaign"]["data_intact"] is True
 
 
+@pytest.mark.parametrize("fs_type", ["ext4", "f2fs", "btrfs"])
+def test_faults_survives_on_every_fs_type(capsys, tmp_path, fs_type):
+    json_path = tmp_path / "faults.json"
+    assert main(["faults", "--smoke", "--fs-type", fs_type,
+                 "--json", str(json_path)]) == 0
+    doc = json.loads(json_path.read_text())
+    assert doc["ok"] is True
+    assert doc["sweeps"]
+    for sweep in doc["sweeps"]:
+        assert sweep["fs_type"] == fs_type
+        assert sweep["recovered"] == sweep["points"]
+    assert doc["campaign"]["fs_type"] == fs_type
+
+
+@pytest.mark.parametrize("verb,accepts", [
+    ("bench", True), ("perf", True),
+    ("fleet", False), ("faults", False), ("replay", False),
+])
+def test_workers_flag_only_on_bench_and_perf(capsys, verb, accepts):
+    argv = [verb, "--workers", "2"]
+    if accepts:
+        assert build_parser().parse_args(argv).workers == 2
+    else:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "--workers" in capsys.readouterr().err
+
+
 def test_trace_smoke_writes_flamegraph_and_flow_trace(capsys, tmp_path):
     trace_path = tmp_path / "trace.json"
     flame_path = tmp_path / "flame.txt"

@@ -254,4 +254,6 @@ def test_every_metric_from_a_representative_armed_run_has_help():
     assert metric_help("sim.actor_step.fg") is not None
     assert metric_help("faults.injected.device_io.transient") is not None
     assert metric_help("obs.harvest.snapshots") is not None
+    assert metric_help("par.plans") is not None
+    assert metric_help("par.shards") is not None
     assert metric_help("obs.events_dropped") is not None

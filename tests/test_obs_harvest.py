@@ -1,19 +1,16 @@
-"""The cross-process telemetry harvest: capture, merge, and parity.
+"""The telemetry harvest: capture and merge.
 
-Unit-level: TelemetrySnapshot must carry metrics in raw (mergeable)
-form, land worker spans/events on namespaced tracks, keep drop tallies,
-and re-base provenance pids.  Plan-level: an armed parent must export
-byte-identical telemetry whether a plan ran serially or across spawned
-workers — the property every armed ``--workers N`` verb rests on.
+TelemetrySnapshot must carry metrics in raw (mergeable) form, land
+worker spans/events on namespaced tracks, keep drop tallies, and re-base
+provenance pids.  Armed bench parity (serial vs ``--workers``) rests on
+these properties and is asserted end to end in test_obs_determinism.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.obs import export, harvest
+from repro.obs import harvest
 from repro.obs import hooks as obs_hooks
 from repro.obs.harvest import SNAPSHOTS_MERGED, HarvestSpec, TelemetrySnapshot
 from repro.obs.hooks import Instrumentation
@@ -21,7 +18,7 @@ from repro.par import run_sharded
 
 
 # ----------------------------------------------------------------------
-# module-level shard functions (must pickle into spawn workers)
+# shard-shaped workloads
 # ----------------------------------------------------------------------
 
 def _emit(x):
@@ -39,12 +36,6 @@ def _emit(x):
 
 def _square(x):
     return x * x
-
-
-def _nested(x):
-    """A shard that itself fans out: its inner plan's par.* counters and
-    harvest merges happen worker-side and must surface in the parent."""
-    return sum(run_sharded(_square, [x, x + 1]))
 
 
 # ----------------------------------------------------------------------
@@ -172,52 +163,8 @@ def test_merge_into_disabled_obs_is_a_no_op():
 
 
 # ----------------------------------------------------------------------
-# plan-level parity: armed serial == armed workers
+# the engine never arms anything on its own
 # ----------------------------------------------------------------------
-
-def _run_plan(workers):
-    obs = Instrumentation()
-    with obs_hooks.use(obs):
-        results = run_sharded(_emit, [0, 1, 2], workers=workers, label="t")
-    return results, obs
-
-
-def _renderings(obs):
-    return (
-        export.metrics_json(obs.registry),
-        export.prometheus_text(obs.registry),
-        json.dumps(export.chrome_trace(obs.spans, obs.registry)),
-    )
-
-
-def test_armed_plan_is_byte_identical_serial_vs_workers():
-    serial_results, serial_obs = _run_plan(None)
-    par_results, par_obs = _run_plan(2)
-    assert par_results == serial_results == [0, 1, 4]
-    assert _renderings(par_obs) == _renderings(serial_obs)
-    # the merged plane actually carries every shard's telemetry
-    metrics = serial_obs.registry.to_dict()
-    assert metrics["t.count"]["value"] == 6.0
-    assert metrics[SNAPSHOTS_MERGED]["value"] == 3
-    tracks = {s.track for s in serial_obs.spans.finished_spans()}
-    assert tracks == {"shard0/main", "shard1/main", "shard2/main"}
-
-
-def test_worker_side_par_counters_surface_in_parent_export():
-    obs = Instrumentation()
-    with obs_hooks.use(obs):
-        results = run_sharded(_nested, [1, 2], workers=2)
-    assert results == [1 + 4, 4 + 9]
-    metrics = obs.registry.to_dict()
-    # one outer plan mirrored by the parent + one inner (worker-side,
-    # serial) plan per shard, harvested back through the snapshot
-    assert metrics["par.plans"]["value"] == 3
-    assert metrics["par.shards"]["value"] == 2 + 4
-    # inner merges counted worker-side (2 per shard) ride back as
-    # counters, plus one increment per outer snapshot merge
-    assert metrics[SNAPSHOTS_MERGED]["value"] == 6
-    assert export.metric_help("par.shards") is not None
-
 
 def test_unarmed_parent_skips_harvest_entirely():
     results = run_sharded(_square, [2, 3], workers=None)

@@ -1,34 +1,23 @@
 """The parallel engine: canonical merge, failure modes, determinism.
 
 Spawned pools cost real wall-clock on small hosts, so every parallel
-test here uses the smallest config that still proves its property; the
-serial-equivalence guarantees these tests pin are what lets every other
-suite in the repo stay serial.
+test here uses the smallest config that still proves its property.
 """
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
 
 from repro.errors import InvalidArgument
 from repro.faults import hooks as fault_hooks
-from repro.faults.campaign import CampaignConfig, run_campaign_series
-from repro.fleet.controller import run_fleet
 from repro.fleet.spec import FleetConfig
 from repro.fs import extent_map
 from repro.obs import hooks as obs_hooks
 from repro.obs.hooks import Instrumentation
-from repro.par import (
-    ParallelPlan,
-    ShardError,
-    StickyPool,
-    resolve_workers,
-    run_sharded,
-)
-from repro.replay.formats import BinaryTraceReader
-from repro.replay.generate import TraceProfile, generate_trace
+from repro.par import ShardError, resolve_workers, run_sharded
 
 
 # ----------------------------------------------------------------------
@@ -52,50 +41,17 @@ def _sleep_then_value(payload):
 
 
 def _report_globals(_):
-    obs = obs_hooks.current()
-    # with an armed parent, the shard runs under a *fresh* harvest child
-    # — never the parent's registry, never a polluted one: every metric
-    # zero, no spans, no events
-    obs_is_clean = obs is obs_hooks.NULL or (
-        not obs.spans.spans
-        and not obs.spans.events
-        and all(
-            not entry.get("value") and not entry.get("count")
-            for entry in obs.registry.to_dict().values()
-        )
-    )
+    # even under an armed parent the shard sees the null facade — never
+    # the parent's (or a polluted) registry
     return (
         extent_map.DEBUG_CHECKS,
-        obs_is_clean,
+        obs_hooks.current() is obs_hooks.NULL,
         fault_hooks.current() is fault_hooks.NULL,
     )
 
 
-class _Adder:
-    """Stateful StickyPool shard: remembers its base across calls."""
-
-    def __init__(self, base):
-        self.base = base
-        self.calls = 0
-
-    def add(self, x):
-        self.calls += 1
-        return self.base + x
-
-    def total_calls(self):
-        return self.calls
-
-
-def _make_adder(base):
-    return _Adder(base)
-
-
-def _broken_factory(_):
-    raise RuntimeError("no shard for you")
-
-
 # ----------------------------------------------------------------------
-# ParallelPlan / run_sharded
+# run_sharded
 # ----------------------------------------------------------------------
 
 def test_resolve_workers_validation():
@@ -116,16 +72,17 @@ def test_serial_path_runs_in_process():
         seen.append(x)
         return x + 1
 
-    plan = ParallelPlan(record, [1, 2, 3])
-    assert plan.run() == [2, 3, 4]
+    assert run_sharded(record, [1, 2, 3]) == [2, 3, 4]
     assert seen == [1, 2, 3]
-    assert plan.stats.shards == 3 and not plan.stats.parallel
 
 
 def test_empty_payloads_short_circuit():
-    plan = ParallelPlan(_square, [], workers=4)
-    assert plan.run() == []
-    assert not plan.stats.parallel
+    obs = Instrumentation()
+    with obs_hooks.use(obs):
+        assert run_sharded(_square, [], workers=4) == []
+    metrics = obs.registry.to_dict()
+    assert metrics["par.plans"]["value"] == 1
+    assert metrics["par.shards"]["value"] == 0
 
 
 def test_merge_is_shard_order_not_completion_order():
@@ -147,22 +104,6 @@ def test_shard_error_carries_index_and_discards_partials():
     assert "ValueError" in error.traceback_text
 
 
-def test_timeout_falls_back_to_serial_and_counts():
-    obs = Instrumentation()
-    with obs_hooks.use(obs):
-        plan = ParallelPlan(
-            _sleep_then_value, [(0.75, "late")], workers=1, timeout_s=0.05
-        )
-        assert plan.run() == ["late"]
-    assert plan.stats.timeouts == 1
-    assert plan.stats.serial_fallbacks == 1
-    metrics = obs.registry.to_dict()
-    assert metrics["par.shard_timeouts"]["value"] == 1
-    assert metrics["par.serial_fallbacks"]["value"] == 1
-    assert metrics["par.plans"]["value"] == 1
-    assert metrics["par.shards"]["value"] == 1
-
-
 def test_worker_state_is_scrubbed_despite_polluted_parent():
     # arm every global the parent could leak; the worker must still see
     # a fresh process (satellite: worker-first-result == fresh-process)
@@ -181,56 +122,6 @@ def test_worker_state_is_scrubbed_despite_polluted_parent():
     assert obs_is_clean and faults_is_null
 
 
-def test_campaign_series_identity_under_polluted_parent():
-    config = CampaignConfig(seed=5, files=2)
-    clean = run_campaign_series(config, trials=2)
-    extent_map.DEBUG_CHECKS = True
-    try:
-        with obs_hooks.use(Instrumentation()):
-            polluted = run_campaign_series(config, trials=2, workers=2)
-    finally:
-        extent_map.DEBUG_CHECKS = False
-    assert polluted.to_dict() == clean.to_dict()
-    assert polluted.fingerprint == clean.fingerprint
-
-
-# ----------------------------------------------------------------------
-# StickyPool
-# ----------------------------------------------------------------------
-
-def test_sticky_pool_call_shapes():
-    with StickyPool(_make_adder, [10, 20]) as pool:
-        assert len(pool) == 2
-        assert pool.call(0, "add", 5) == 15
-        assert pool.call_all("add", 1) == [11, 21]
-        assert pool.call_each([(1, "add", (2,)), (0, "add", (3,))]) == [22, 13]
-        # state persisted across calls within each worker
-        assert pool.call_all("total_calls") == [3, 2]
-
-
-def test_sticky_pool_build_failure_raises_shard_error():
-    with pytest.raises(ShardError) as excinfo:
-        StickyPool(_broken_factory, [0])
-    assert excinfo.value.shard == 0
-    assert "no shard for you" in str(excinfo.value)
-
-
-# ----------------------------------------------------------------------
-# serial-vs-parallel document identity
-# ----------------------------------------------------------------------
-
-def test_fleet_report_byte_identical_and_guards():
-    config = FleetConfig.smoke(volumes=4, seed=3)
-    serial = run_fleet(config)
-    parallel = run_fleet(config, workers=2)
-    assert parallel.to_json() == serial.to_json()
-    assert parallel.fingerprint == serial.fingerprint
-    with pytest.raises(InvalidArgument):
-        run_fleet(FleetConfig.smoke(volumes=2, faults=True), workers=2)
-    with pytest.raises(InvalidArgument):
-        run_fleet(config, workers=2, on_tick=lambda *a: None)
-
-
 def test_perf_fingerprint_identical(tmp_path):
     from repro.perf import suite
 
@@ -241,15 +132,33 @@ def test_perf_fingerprint_identical(tmp_path):
     assert [r.ops for r in res_par] == [r.ops for r in res_serial]
 
 
-def test_replay_chunked_corpus_worker_count_invariant(tmp_path):
-    profile = TraceProfile(ops=6_000, seed=9)
-    one = tmp_path / "w1.bin"
-    two = tmp_path / "w2.bin"
-    n1 = generate_trace(str(one), profile, workers=1, chunk_ops=1_500)
-    n2 = generate_trace(str(two), profile, workers=2, chunk_ops=1_500)
-    assert n1 == n2
-    assert one.read_bytes() == two.read_bytes()
-    reader = BinaryTraceReader(str(one))
-    assert sum(1 for _ in reader) == n1
-    assert reader.stats.malformed == 0
-    assert reader.stats.out_of_order == 0
+# ----------------------------------------------------------------------
+# serial-vs-parallel document identity (the bench path)
+# ----------------------------------------------------------------------
+
+def test_bench_identity_under_polluted_parent():
+    from repro.bench.suite import run_suite
+
+    clean, _ = run_suite(smoke=True)
+    extent_map.DEBUG_CHECKS = True
+    try:
+        with obs_hooks.use(Instrumentation()):
+            polluted, _ = run_suite(smoke=True, workers=2)
+    finally:
+        extent_map.DEBUG_CHECKS = False
+    assert json.dumps(polluted, sort_keys=True) == json.dumps(
+        clean, sort_keys=True
+    )
+    assert polluted["fingerprint"] == clean["fingerprint"]
+
+
+def test_scaling_curve_measures_bench_figure_shards():
+    from repro.perf.suite import scaling_curve
+
+    curve = scaling_curve(worker_counts=(1, 2), smoke=True)
+    assert curve["workload"] == "bench_figure_shards"
+    assert curve["shards"] == 3  # two synthetic device grids + fileserver
+    assert [point["workers"] for point in curve["points"]] == [1, 2]
+    for point in curve["points"]:
+        assert point["wall_s"] > 0
+        assert point["efficiency"] == point["speedup"] / point["workers"]
