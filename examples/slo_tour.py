@@ -18,9 +18,10 @@ Run:  PYTHONPATH=src python examples/slo_tour.py
 
 import dataclasses
 
+from repro.doc import compare
 from repro.fleet import FleetConfig, FleetSlo, run_fleet
 from repro.obs.dashboard import Frame, render, sparkline
-from repro.obs.slo import SloPlane, SloSpec, build_document, compare
+from repro.obs.slo import SloPlane, SloSpec
 
 
 def main() -> None:
@@ -74,7 +75,7 @@ def main() -> None:
     print(f"  storm vs clean: {len(regressions)} direction-aware "
           f"regression(s), e.g.")
     for finding in regressions[:3]:
-        print(f"    {finding.variant} {finding.metric}: "
+        print(f"    {finding.path}: "
               f"{finding.baseline:.4g} -> {finding.candidate:.4g}")
 
     print("\n== 3. one dashboard frame ==")

@@ -3,7 +3,8 @@ tracking.
 
 Runs a deterministic subset of the paper's figures with the observability
 plane enabled, and condenses each variant into the flat summary shape
-:mod:`repro.bench.regression` compares:
+:func:`repro.doc.compare` compares (the ``bench`` row of
+:data:`repro.doc.KINDS` lists the compared values and their directions):
 
 - ``synthetic_<fs>_<device>`` — the Figure 8/9 grid, one cell per
   (variant, pattern), with per-window latency attribution and split
@@ -34,11 +35,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..constants import MIB
+from .. import doc
 from ..obs import harvest
 from ..obs import hooks as obs_hooks
 from ..obs.analysis import histogram_summary
 from ..obs.hooks import Instrumentation
-from . import regression
 
 
 def suite_config(smoke: bool = False) -> Dict[str, object]:
@@ -231,7 +232,9 @@ def run_suite(
     }
     figures["obs_trace"] = figure
 
-    document = regression.build_document(label, config, figures)
+    document = doc.new(
+        "bench", {"label": label, "config": dict(config), "figures": figures}
+    )
     return document, trace_result
 
 

@@ -44,7 +44,7 @@ import argparse
 import sys
 from typing import Dict
 
-from . import cli_util
+from . import cli_util, doc
 from .constants import MIB
 
 
@@ -206,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm the ambient obs plane and dump Prometheus "
                             "text-format metrics here")
     cli_util.add_workers_arg(bench)
-    cli_util.add_document_args(bench, "BENCH", "BENCH", threshold=0.10)
+    cli_util.add_document_args(bench, "bench")
     cli_util.add_ledger_args(bench)
     perf = sub.add_parser(
         "perf",
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "shards) and record it in the document")
     cli_util.add_workers_arg(perf)
     cli_util.add_document_args(
-        perf, "PERF", "PERF", threshold=0.20,
+        perf, "perf",
         threshold_help="relative regression threshold (default 0.20; "
                        "wall clock is noisier than virtual time)",
     )
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also dump the metrics registry as JSON here")
     fleet.add_argument("--prom", default=None, metavar="PATH",
                        help="also dump Prometheus text-format metrics here")
-    cli_util.add_document_args(fleet, "FLEET", "FLEET", threshold=0.10)
+    cli_util.add_document_args(fleet, "fleet")
     cli_util.add_ledger_args(fleet)
     slo = sub.add_parser(
         "slo",
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     slo.add_argument("--prom", default=None, metavar="PATH",
                      help="also export budget-remaining/compliance gauges "
                           "as Prometheus text format here")
-    cli_util.add_document_args(slo, "SLO", "SLO", threshold=0.10)
+    cli_util.add_document_args(slo, "slo")
     cli_util.add_ledger_args(slo)
     watch = sub.add_parser(
         "watch",
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--smoke", action="store_true",
                         help="no trace needed: generate a small seeded "
                              "corpus in a temp dir and replay it (CI smoke)")
-    cli_util.add_document_args(replay, "REPLAY", "REPLAY", threshold=0.10)
+    cli_util.add_document_args(replay, "replay")
     cli_util.add_ledger_args(replay)
     faults = sub.add_parser(
         "faults",
@@ -394,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="for show: a sequence number or manifest "
                            "fingerprint prefix")
     runs.add_argument("--verb", default=None,
-                      choices=["bench", "perf", "fleet", "slo", "replay",
-                               "faults"],
+                      choices=list(doc.KINDS),
                       help="only runs recorded by this verb")
     runs.add_argument("--ledger-dir", default=None, metavar="DIR",
                       help="run-ledger directory (default: "
@@ -417,21 +416,16 @@ def _run_obs(args) -> int:
     import json
 
     from .bench.experiments import obs_trace
-    from .obs.export import metrics_json
     from .obs.hooks import Instrumentation
 
     obs = Instrumentation(provenance=True) if args.critical_path else None
     result = obs_trace.run(smoke=args.smoke, obs=obs)
     print(result.report())
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result.trace(), fh)
+        doc.write_text(args.out, json.dumps(result.trace()))
         print(f"\nwrote Chrome trace to {args.out} "
               "(load it at chrome://tracing or ui.perfetto.dev)")
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as fh:
-            fh.write(metrics_json(result.obs.registry))
-        print(f"wrote metrics JSON to {args.metrics_json}")
+    cli_util.write_metrics(args, result.obs.registry)
     if args.critical_path and not result.critical_path().check():
         print("critical-path check FAILED (segments do not sum to wall-clock)")
         return 1
@@ -462,18 +456,16 @@ def _run_trace(args) -> int:
     print()
     print(path.table())
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(result.trace(), fh)
+        doc.write_text(args.out, json.dumps(result.trace()))
         print(f"\nwrote Chrome trace (with causal flow arrows) to {args.out}")
     if args.flame:
         write_flamegraph(args.flame, forest, result.obs.spans)
         print(f"wrote collapsed-stack flamegraph to {args.flame} "
               "(feed to flamegraph.pl or speedscope)")
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"schema": "repro.obs.trace/v1",
-                       "provenance": summary,
-                       "critical_path": path.to_dict()}, fh, indent=2)
+        summary_doc = {"schema": "repro.obs.trace/v1", "provenance": summary,
+                       "critical_path": path.to_dict()}
+        doc.write_text(args.json, json.dumps(summary_doc, indent=2))
         print(f"wrote trace summary JSON to {args.json}")
     if not path.check():
         print("critical-path check FAILED (segments do not sum to wall-clock)")
@@ -484,16 +476,12 @@ def _run_trace(args) -> int:
 def _run_bench(args) -> int:
     import time
 
-    from .bench import regression, suite
+    from .bench import suite
     from .obs import hooks as obs_hooks
-    from .obs.export import metrics_json, prometheus_text, write_chrome_trace
+    from .obs.export import write_chrome_trace
     from .obs.hooks import Instrumentation
 
-    code = cli_util.run_compare(args, regression.load, regression.compare)
-    if code is not None:
-        return code
-
-    label, path = cli_util.document_path(args, "BENCH")
+    label, path = cli_util.document_path(args, "bench")
     armed = bool(args.metrics_json or args.prom)
     start = time.perf_counter()
     if armed:
@@ -509,7 +497,7 @@ def _run_bench(args) -> int:
             smoke=args.smoke, label=label, workers=args.workers
         )
     wall_s = time.perf_counter() - start
-    regression.save(path, document)
+    doc.save(path, document)
     print(f"wrote bench document to {path} "
           f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
     for figure, variants in document["figures"].items():
@@ -520,14 +508,8 @@ def _run_bench(args) -> int:
             sampler=trace_result.sampler,
         )
         print(f"wrote Chrome trace to {args.trace}")
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as fh:
-            fh.write(metrics_json(obs.registry))
-        print(f"wrote metrics JSON to {args.metrics_json}")
-    if args.prom:
-        with open(args.prom, "w") as fh:
-            fh.write(prometheus_text(obs.registry))
-        print(f"wrote Prometheus metrics to {args.prom}")
+    if armed:
+        cli_util.write_metrics(args, obs.registry)
     cli_util.record_ledger(
         args, "bench", document, label=label, wall_s=wall_s,
         extra={"smoke": args.smoke},
@@ -542,11 +524,7 @@ def _run_perf(args) -> int:
 
     from . import perf
 
-    code = cli_util.run_compare(args, perf.load, perf.compare)
-    if code is not None:
-        return code
-
-    label, path = cli_util.document_path(args, "PERF")
+    label, path = cli_util.document_path(args, "perf")
     scaling = None
     if args.scaling:
         scaling = perf.scaling_curve(smoke=args.smoke)
@@ -556,7 +534,7 @@ def _run_perf(args) -> int:
         workers=args.workers, scaling=scaling,
     )
     wall_s = time.perf_counter() - start
-    perf.save(path, document)
+    doc.save(path, document)
     cli_util.record_ledger(
         args, "perf", document, label=label, wall_s=wall_s,
         extra={"smoke": args.smoke, "scaling": bool(args.scaling)},
@@ -613,14 +591,9 @@ def _run_fleet(args) -> int:
     import time
 
     from .fleet import FleetSlo, run_fleet
-    from .fleet import report as fleet_report
     from .obs import hooks as obs_hooks
-    from .obs.export import metrics_json, prometheus_text, write_chrome_trace
+    from .obs.export import write_chrome_trace
     from .obs.hooks import Instrumentation
-
-    code = cli_util.run_compare(args, fleet_report.load, fleet_report.compare)
-    if code is not None:
-        return code
 
     config = _fleet_config(args)
     monitor = (
@@ -639,22 +612,16 @@ def _run_fleet(args) -> int:
     wall_s = time.perf_counter() - start
 
     print(report.text())
-    label, path = cli_util.document_path(args, "FLEET")
+    label, path = cli_util.document_path(args, "fleet")
     document = report.to_dict()
-    fleet_report.save(path, document)
+    doc.save(path, document)
     print(f"\nwrote fleet document to {path} "
           f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
     if args.trace:
         write_chrome_trace(args.trace, obs.spans, obs.registry)
         print(f"wrote Chrome trace to {args.trace}")
-    if args.metrics_json:
-        with open(args.metrics_json, "w") as fh:
-            fh.write(metrics_json(obs.registry))
-        print(f"wrote metrics JSON to {args.metrics_json}")
-    if args.prom:
-        with open(args.prom, "w") as fh:
-            fh.write(prometheus_text(obs.registry))
-        print(f"wrote Prometheus metrics to {args.prom}")
+    if armed:
+        cli_util.write_metrics(args, obs.registry)
     cli_util.record_ledger(
         args, "fleet", document, label=label, seed=args.seed, wall_s=wall_s,
         extra={"smoke": args.smoke, "volumes": args.volumes,
@@ -668,11 +635,6 @@ def _run_slo(args) -> int:
 
     from .fleet import FleetSlo, run_fleet
     from .obs import slo as obs_slo
-    from .obs.export import prometheus_text
-
-    code = cli_util.run_compare(args, obs_slo.load, obs_slo.compare)
-    if code is not None:
-        return code
 
     config = _fleet_config(args)
     specs = obs_slo.load_specs(args.spec) if args.spec else None
@@ -683,18 +645,15 @@ def _run_slo(args) -> int:
     run_fleet(config, slo=monitor)
     wall_s = time.perf_counter() - start
 
-    label, path = cli_util.document_path(args, "SLO")
+    label, path = cli_util.document_path(args, "slo")
     source = {"kind": "fleet", "config": config.to_dict()}
     document = monitor.document(label, source)
-    obs_slo.validate(document)
-    obs_slo.save(path, document)
+    doc.save(path, document)
     print(obs_slo.report_text(document))
     print(f"\nwrote SLO document to {path} "
           f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
     if args.prom:
-        with open(args.prom, "w") as fh:
-            fh.write(prometheus_text(obs_slo.prometheus_registry(document)))
-        print(f"wrote Prometheus budget gauges to {args.prom}")
+        cli_util.write_metrics(args, obs_slo.prometheus_registry(document))
     cli_util.record_ledger(
         args, "slo", document, label=label, seed=args.seed, wall_s=wall_s,
         extra={"smoke": args.smoke, "volumes": args.volumes,
@@ -741,12 +700,7 @@ def _run_replay(args) -> int:
     import tempfile
     import time
 
-    from . import replay as replay_mod
     from .replay import ReplayConfig, TraceProfile, generate_trace, run_replay
-
-    code = cli_util.run_compare(args, replay_mod.load, replay_mod.compare)
-    if code is not None:
-        return code
 
     trace_path = args.trace
     if args.generate is not None:
@@ -776,10 +730,9 @@ def _run_replay(args) -> int:
     result = run_replay(trace_path, config)
     wall_s = time.perf_counter() - start
     print(result.text())
-    label, path = cli_util.document_path(args, "REPLAY")
+    label, path = cli_util.document_path(args, "replay")
     document = result.to_dict(label)
-    replay_mod.validate(document)
-    replay_mod.save(path, document)
+    doc.save(path, document)
     print(f"\nwrote replay document to {path} "
           f"(schema {document['schema']}, fingerprint {document['fingerprint']})")
     cli_util.record_ledger(
@@ -808,8 +761,7 @@ def _run_faults(args) -> int:
     wall_s = time.perf_counter() - start
     print(report.text())
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
+        doc.write_text(args.json, report.to_json())
         print(f"\nwrote survival report JSON to {args.json}")
     cli_util.record_ledger(
         args, "faults", json.loads(report.to_json()),
@@ -862,6 +814,9 @@ def _run_runs(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    code = cli_util.run_compare(args, args.command)
+    if code is not None:
+        return code
     if args.command == "obs":
         return _run_obs(args)
     if args.command == "trace":

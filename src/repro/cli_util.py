@@ -1,38 +1,43 @@
 """Shared wiring for CLI verbs that persist comparable JSON documents.
 
-``bench``, ``perf``, and ``fleet`` all follow the same contract: run a
-suite, save a schema-tagged document whose fingerprint makes runs
-comparable, and (with ``--compare``) diff two such documents with a
-direction-aware threshold.  The argument set and the compare flow are
-identical across verbs — this module holds them once.
+``bench``, ``perf``, ``fleet``, ``slo`` and ``replay`` all follow the
+same contract: run a suite, save a schema-tagged document whose
+fingerprint makes runs comparable, and (with ``--compare``) diff two
+such documents with a direction-aware threshold.  Each verb names its
+row of :data:`repro.doc.KINDS`; the argument set and the compare flow
+are held here once.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Callable, Optional, Tuple
+import sys
+from typing import Optional, Tuple
+
+from . import doc
+from .obs.export import metrics_json, prometheus_text
 
 
 def add_document_args(
     parser: argparse.ArgumentParser,
     kind: str,
-    prefix: str,
-    threshold: float = 0.10,
     threshold_help: Optional[str] = None,
 ) -> None:
     """Attach the --label/--json/--compare/--threshold/--warn-only set."""
+    prefix = kind.upper()
+    threshold = doc.KINDS[kind].threshold
     parser.add_argument(
         "--label", default=None,
         help="document label (default: 'smoke' or 'full')",
     )
     parser.add_argument(
         "--json", nargs="?", const=None, default=None, metavar="PATH",
-        help=f"write the {kind} document here "
+        help=f"write the {prefix} document here "
              f"(default: {prefix}_<label>.json)",
     )
     parser.add_argument(
         "--compare", nargs=2, metavar=("BASELINE", "CANDIDATE"),
-        help=f"compare two {kind} documents instead of running; "
+        help=f"compare two {prefix} documents instead of running; "
              "exits 1 when a regression exceeds the threshold",
     )
     parser.add_argument(
@@ -102,29 +107,38 @@ def record_ledger(
     return path
 
 
-def document_path(args: argparse.Namespace, prefix: str) -> Tuple[str, str]:
+def write_metrics(args: argparse.Namespace, registry) -> None:
+    """Write the ``--metrics-json`` / ``--prom`` exports a verb asked for."""
+    if getattr(args, "metrics_json", None):
+        doc.write_text(args.metrics_json, metrics_json(registry))
+        print(f"wrote metrics JSON to {args.metrics_json}")
+    if getattr(args, "prom", None):
+        doc.write_text(args.prom, prometheus_text(registry))
+        print(f"wrote Prometheus metrics to {args.prom}")
+
+
+def document_path(args: argparse.Namespace, kind: str) -> Tuple[str, str]:
     """Resolve the (label, output path) pair for a document run."""
     label = args.label or ("smoke" if getattr(args, "smoke", False) else "full")
-    path = args.json or f"{prefix}_{label}.json"
+    path = args.json or f"{kind.upper()}_{label}.json"
     return label, path
 
 
-def run_compare(
-    args: argparse.Namespace,
-    load: Callable[[str], dict],
-    compare: Callable[..., object],
-) -> Optional[int]:
+def run_compare(args: argparse.Namespace, kind: str) -> Optional[int]:
     """Execute the --compare flow if requested; None means "not asked".
 
-    ``load``/``compare`` are the document module's pair (e.g.
-    ``bench.regression.load``/``compare``); every compare() in this repo
-    returns a Comparison with ``.report()`` and ``.ok``.
+    Returns 1 when a regression passes the threshold (0 with --warn-only)
+    and 2, after one line naming the file, when either document cannot
+    be read as a valid ``kind`` document.
     """
-    if not args.compare:
+    if not getattr(args, "compare", None):
         return None
-    baseline = load(args.compare[0])
-    candidate = load(args.compare[1])
-    comparison = compare(baseline, candidate, threshold=args.threshold)
+    try:
+        baseline, candidate = (doc.load(path, kind) for path in args.compare)
+    except (OSError, ValueError) as exc:
+        print(f"{kind} compare: {exc}", file=sys.stderr)
+        return 2
+    comparison = doc.compare(baseline, candidate, threshold=args.threshold)
     print(comparison.report())
     if comparison.ok or args.warn_only:
         return 0

@@ -275,8 +275,9 @@ def flamegraph(
 def write_flamegraph(
     path: str, forest: ProvenanceForest, recorder: Optional[SpanRecorder] = None
 ) -> None:
-    with open(path, "w") as fh:
-        fh.write(flamegraph(forest, recorder))
+    from ..doc import write_text  # on use: keeps repro.doc out of `import repro`
+
+    write_text(path, flamegraph(forest, recorder))
 
 
 # ----------------------------------------------------------------------

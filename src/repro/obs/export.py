@@ -124,8 +124,10 @@ def write_chrome_trace(
     sampler=None,
 ) -> None:
     """Write the trace document to ``path`` (open it in Perfetto)."""
-    with open(path, "w") as fh:
-        json.dump(chrome_trace(recorder, registry, sampler=sampler), fh)
+    from ..doc import write_text  # on use: keeps repro.doc out of `import repro`
+
+    document = chrome_trace(recorder, registry, sampler=sampler)
+    write_text(path, json.dumps(document))
 
 
 def metrics_json(registry: MetricsRegistry) -> str:

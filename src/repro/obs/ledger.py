@@ -5,7 +5,8 @@ faults``) appends one **run manifest** under ``benchmarks/ledger/`` —
 the run-over-run history a production telemetry pipeline keeps next to
 its live exports.  A manifest records what ran (verb, label, args, seed,
 workers), what it produced (the document's schema and fingerprint plus a
-small per-verb *headline* — the figures you would put on a dashboard),
+small per-verb *headline* — the figures you would put on a dashboard,
+declared per kind in :data:`repro.doc.KINDS`),
 and what it cost (wall seconds, host CPU count).
 
 The manifest's own ``fingerprint`` hashes only the **deterministic**
@@ -26,12 +27,11 @@ reader never sees a torn one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Dict, List, Optional
 
-from ..docio import write_json
+from ..doc import canonical_hash, headline, write_json
 from ..stats.tables import format_table
 
 SCHEMA = "repro.ledger/v1"
@@ -61,101 +61,7 @@ REQUIRED_FIELDS = FINGERPRINT_FIELDS + ("wall_s", "host_cpus", "fingerprint")
 def manifest_fingerprint(manifest: Dict[str, object]) -> str:
     """sha256 over the canonical deterministic subset of a manifest."""
     body = {field: manifest.get(field) for field in FINGERPRINT_FIELDS}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# per-verb headline extraction
-# ----------------------------------------------------------------------
-
-
-def _dig(document: Dict[str, object], *path: str, default=None):
-    node: object = document
-    for key in path:
-        if not isinstance(node, dict) or key not in node:
-            return default
-        node = node[key]
-    return node
-
-
-def _headline_bench(doc: Dict[str, object]) -> Dict[str, object]:
-    figures = doc.get("figures", {})
-    out: Dict[str, object] = {"figures": len(figures)}
-    before = _dig(figures, "obs_trace", "before", "ops_per_sec")
-    after = _dig(figures, "obs_trace", "after", "ops_per_sec")
-    if before is not None:
-        out["obs_trace_ops_before"] = before
-    if after is not None:
-        out["obs_trace_ops_after"] = after
-    return out
-
-
-def _headline_perf(doc: Dict[str, object]) -> Dict[str, object]:
-    out: Dict[str, object] = {"total_wall_s": doc.get("total_wall_s")}
-    end_to_end = _dig(doc, "layers", "end_to_end", "wall_s")
-    if end_to_end is not None:
-        out["end_to_end_wall_s"] = end_to_end
-    return out
-
-
-def _headline_fleet(doc: Dict[str, object]) -> Dict[str, object]:
-    return {
-        "jobs_completed": _dig(doc, "jobs", "completed"),
-        "migrated_bytes": _dig(doc, "migration", "payload_bytes"),
-        "fg_read_p99_s": _dig(doc, "foreground", "read_p99_s"),
-        "budget_ok": _dig(doc, "migration", "budget_ok"),
-    }
-
-
-def _headline_slo(doc: Dict[str, object]) -> Dict[str, object]:
-    slos = doc.get("slos", {})
-    out: Dict[str, object] = {"slos": len(slos), "alerts": len(doc.get("alerts", []))}
-    if isinstance(slos, dict):
-        for name in sorted(slos):
-            compliance = _dig(slos, name, "compliance")
-            if compliance is not None:
-                out[f"{name}_compliance"] = compliance
-    return out
-
-
-def _headline_replay(doc: Dict[str, object]) -> Dict[str, object]:
-    return {
-        "ops_per_vsec": _dig(doc, "figures", "ops_per_vsec"),
-        "read_mbps": _dig(doc, "figures", "read_mbps"),
-        "cache_hit_ratio": _dig(doc, "figures", "cache_hit_ratio"),
-    }
-
-
-def _headline_faults(doc: Dict[str, object]) -> Dict[str, object]:
-    out: Dict[str, object] = {
-        "ok": doc.get("ok"),
-        "sweeps": len(doc.get("sweeps") or []),
-        "faults_injected": _dig(doc, "campaign", "faults_injected"),
-        "data_intact": _dig(doc, "campaign", "data_intact"),
-    }
-    trials = _dig(doc, "series", "trials")
-    if trials is not None:
-        out["trials"] = trials
-    return out
-
-
-_HEADLINES = {
-    "bench": _headline_bench,
-    "perf": _headline_perf,
-    "fleet": _headline_fleet,
-    "slo": _headline_slo,
-    "replay": _headline_replay,
-    "faults": _headline_faults,
-}
-
-
-def headline(verb: str, document: Dict[str, object]) -> Dict[str, object]:
-    """The small per-verb figure set a manifest carries."""
-    extractor = _HEADLINES.get(verb)
-    if extractor is None:
-        return {}
-    return {k: v for k, v in extractor(document).items() if v is not None}
+    return canonical_hash(body, length=None)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +89,7 @@ def build_manifest(
         "doc_schema": document.get("schema"),
         # the faults document carries its fingerprint on the campaign
         "doc_fingerprint": document.get("fingerprint")
-        or _dig(document, "campaign", "fingerprint"),
+        or (document.get("campaign") or {}).get("fingerprint"),
         "headline": headline(verb, document),
         "wall_s": round(float(wall_s), 3),
         "host_cpus": os.cpu_count() or 1,

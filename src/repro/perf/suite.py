@@ -16,6 +16,7 @@ different suites against each other.
 from __future__ import annotations
 
 import cProfile
+import platform
 import pstats
 import random
 import time
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..constants import BLOCK_SIZE, KIB, MIB
-from . import regression
+from .. import doc
 
 
 def suite_config(smoke: bool = False) -> Dict[str, object]:
@@ -403,6 +404,11 @@ def run_suite(
     are wall readings either way, each timed inside its own process.
     ``scaling`` attaches a measured :func:`scaling_curve` to the
     document (recorded, never gated).
+
+    The document carries ``layers[name]`` (``{ops, wall_s, ops_per_sec}``),
+    ``total_wall_s`` (summed best-of-N) and ``profile`` (the end-to-end
+    run's hot functions); ``profile`` and ``scaling`` describe the host,
+    so they are recorded, never compared or fingerprinted.
     """
     from ..par import run_sharded
 
@@ -422,14 +428,17 @@ def run_suite(
     hot_table: List[Dict[str, object]] = []
     if profile:
         hot_table = hot_function_table(suite_config(smoke=True)["end_to_end"])
-    document = regression.build_document(
-        label, config,
-        layers={result.name: result.to_dict() for result in results},
-        total_wall_s=sum(result.wall_s for result in results),
-        profile=hot_table,
-        scaling=scaling,
-    )
-    return document, results
+    body = {
+        "label": label,
+        "config": dict(config),
+        "python": platform.python_version(),
+        "layers": {result.name: result.to_dict() for result in results},
+        "total_wall_s": sum(result.wall_s for result in results),
+        "profile": hot_table,
+    }
+    if scaling is not None:
+        body["scaling"] = dict(scaling)
+    return doc.new("perf", body), results
 
 
 def scaling_curve(

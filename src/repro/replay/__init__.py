@@ -38,17 +38,7 @@ from .reconstruct import (
     ReconstructionStats,
     Reconstructor,
 )
-from .report import (
-    SCHEMA,
-    ReplayConfig,
-    ReplayResult,
-    compare,
-    fingerprint,
-    load,
-    run_replay,
-    save,
-    validate,
-)
+from .report import ReplayConfig, ReplayResult, run_replay
 from .workload import ReplayWorkload, cycling_ops, parse_trace_workload
 
 __all__ = [
@@ -71,15 +61,9 @@ __all__ = [
     "PlacementPolicy",
     "ReconstructionStats",
     "Reconstructor",
-    "SCHEMA",
     "ReplayConfig",
     "ReplayResult",
-    "compare",
-    "fingerprint",
-    "load",
     "run_replay",
-    "save",
-    "validate",
     "ReplayWorkload",
     "cycling_ops",
     "parse_trace_workload",

@@ -43,7 +43,9 @@ def correlation_coefficient(xs: Sequence[float], ys: Sequence[float]) -> float:
     denom = float(np.sqrt((dx * dx).sum() * (dy * dy).sum()))
     if denom == 0.0:
         return 0.0
-    return float((dx * dy).sum() / denom)
+    # |r| <= 1 exactly, but rounding (severe when the squared deviations
+    # are subnormal) can overshoot it; numpy.corrcoef clips the same way
+    return min(1.0, max(-1.0, float((dx * dy).sum() / denom)))
 
 
 def nlrs(xs: Sequence[float], ys: Sequence[float]) -> float:

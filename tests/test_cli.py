@@ -182,11 +182,11 @@ def test_slo_smoke_writes_valid_document(capsys, tmp_path, monkeypatch):
     assert "SLO report" in out
     assert "fg_read_latency" in out
     assert "burn-rate alert" in out
-    from repro.obs import slo as obs_slo
+    from repro.doc import validate
 
     doc = json.loads((tmp_path / "SLO_smoke.json").read_text())
     assert doc["schema"] == "repro.slo/v1"
-    obs_slo.validate(doc)
+    validate(doc)
     assert doc["source"]["kind"] == "fleet"
     assert "fg_read_latency" in doc["slos"]
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.fleet import FleetConfig, compare, load, run_fleet, save
+from repro import doc
+from repro.fleet import FleetConfig, run_fleet
 from repro.fleet.report import SCHEMA
 
 
@@ -41,21 +42,14 @@ def test_document_round_trip(tmp_path, smoke_report):
     path = str(tmp_path / "FLEET_test.json")
     document = smoke_report.to_dict()
     assert document["schema"] == SCHEMA
-    save(path, document)
-    loaded = load(path)
+    doc.save(path, document)
+    loaded = doc.load(path, "fleet")
     assert loaded == document
-
-
-def test_load_rejects_foreign_schema(tmp_path):
-    path = str(tmp_path / "bad.json")
-    save(path, {"schema": "repro.bench/v1"})
-    with pytest.raises(ValueError):
-        load(path)
 
 
 def test_compare_identical_documents_ok(smoke_report):
     document = smoke_report.to_dict()
-    comparison = compare(document, document)
+    comparison = doc.compare(document, document)
     assert comparison.ok
     assert comparison.findings  # metrics were actually compared
 
@@ -64,9 +58,9 @@ def test_compare_flags_latency_regression(smoke_report):
     baseline = smoke_report.to_dict()
     worse = smoke_report.to_dict()
     worse["foreground"]["read_p99_s"] = baseline["foreground"]["read_p99_s"] * 2
-    comparison = compare(baseline, worse)
+    comparison = doc.compare(baseline, worse)
     assert not comparison.ok
-    assert any(f.metric == "fg_read_p99_s" for f in comparison.regressions)
+    assert any(f.path == "foreground.read_p99_s" for f in comparison.regressions)
 
 
 def test_text_report_renders(smoke_report):

@@ -68,6 +68,44 @@ def test_manifest_headlines_per_verb():
     assert faults["doc_fingerprint"] == "beadfeedbeadfeed"
 
 
+#: one fixed document per verb, covering every headline row of its kind
+GOLDEN_DOCS = {
+    "bench": {"schema": "repro.bench/v1", "fingerprint": "0123456789abcdef",
+              "figures": {"obs_trace": {"before": {"ops_per_sec": 7257.25},
+                                        "after": {"ops_per_sec": 7900.5}},
+                          "synthetic_ext4_optane": {}}},
+    "perf": PERF_DOC,
+    "fleet": FLEET_DOC,
+    "slo": {"schema": "repro.slo/v1", "fingerprint": "5105105105105105",
+            "slos": {"fg_read_latency": {"compliance": 0.875},
+                     "vol.vol0000.read_latency": {"compliance": 1.0},
+                     "frag_backlog": {"windows": 3}},
+            "alerts": [{"slo": "fg_read_latency"}, {"slo": "frag_backlog"}]},
+    "replay": {"schema": "repro.replay/v1", "fingerprint": "4e91a74e91a74e91",
+               "figures": {"ops_per_vsec": 7336.5, "read_mbps": 277.5,
+                           "cache_hit_ratio": 0.415}},
+    "faults": {**FAULTS_DOC, "sweeps": [{"device": "optane"}, {"device": "hdd"}]},
+}
+
+#: manifest fingerprints of GOLDEN_DOCS, recorded before the per-verb
+#: headline extractors became rows of repro.doc.KINDS
+GOLDEN_FINGERPRINTS = {
+    "bench": "fee7613ffbab4c40098135d265f8071b0579ff167d2686e801c86d451f66cb14",
+    "perf": "a143fee5c98876d873df1ffba23128344ac1ede6be6ef30e7ac790963276d6d9",
+    "fleet": "ee2a83631c477e2acdb4ab3fb38f3614b8113b71224a50ebe763e834e790004f",
+    "slo": "2968c5e30f71472f41ea9c8bda44a2d890208fb3dc8dd974c884dd08e2a02a99",
+    "replay": "e9a761dcccb4c8fc799c2d9edb20830a3bc9e35fdb207a5e5018f88b17cd4504",
+    "faults": "425fca0b025131708327b0ee66e847697b946a0ac4abb1912fc4661e595f9e0d",
+}
+
+
+@pytest.mark.parametrize("verb", sorted(GOLDEN_DOCS))
+def test_manifest_fingerprints_are_pinned_per_verb(verb):
+    manifest = ledger.build_manifest(verb, GOLDEN_DOCS[verb], label="golden",
+                                     seed=7)
+    assert manifest["fingerprint"] == GOLDEN_FINGERPRINTS[verb]
+
+
 def test_record_and_list_roundtrip_with_sequence_numbers(tmp_path):
     directory = str(tmp_path / "ledger")
     p0 = ledger.record_run("fleet", FLEET_DOC, label="ci", seed=1,

@@ -4,22 +4,17 @@ import json
 
 import pytest
 
+from repro.doc import compare, fingerprint, load, save, validate
 from repro.obs import hooks
 from repro.obs.hooks import Instrumentation
 from repro.obs.slo import (
-    SCHEMA,
     SloEvaluator,
     SloPlane,
     SloSpec,
     build_document,
-    compare,
-    fingerprint,
-    load,
     load_specs,
     prometheus_registry,
     report_text,
-    save,
-    validate,
 )
 
 
@@ -214,7 +209,7 @@ def _document():
 
 def test_document_shape_save_load_validate(tmp_path):
     document = _document()
-    assert document["schema"] == SCHEMA
+    assert document["schema"] == "repro.slo/v1"
     assert document["fingerprint"] == fingerprint(document)
     validate(document)
     path = tmp_path / "SLO_unit.json"
@@ -266,7 +261,8 @@ def test_compare_is_direction_aware():
     bad = _doc_with([2.0, 2.0, 0.1, 0.1])
     comparison = compare(good, bad)
     assert comparison.kind == "slo"
-    regressions = {f.metric for f in comparison.findings if f.regression}
+    regressions = {f.path.rsplit(".", 1)[-1]
+                   for f in comparison.findings if f.regression}
     assert "compliance" in regressions or "budget_remaining" in regressions
     assert "breaches" in regressions
     # the other direction is an improvement, not a regression
@@ -278,7 +274,7 @@ def test_compare_warns_on_source_mismatch_and_missing_slos():
     b = _doc_with([0.1])
     b["source"] = {"kind": "other"}
     comparison = compare(a, b)
-    assert any("sources differ" in w for w in comparison.warnings)
+    assert any("source differs" in w for w in comparison.warnings)
     c = _doc_with([0.1])
     c["slos"] = {}
     comparison = compare(a, c)

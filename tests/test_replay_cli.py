@@ -5,11 +5,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.doc import validate
 from repro.errors import InvalidArgument
 from repro.fleet import FleetConfig
 from repro.fleet.controller import run_fleet
 from repro.fleet.spec import make_volume_specs
-from repro.replay import TraceProfile, generate_trace, validate
+from repro.replay import TraceProfile, generate_trace
 
 
 @pytest.fixture

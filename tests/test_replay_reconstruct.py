@@ -4,6 +4,7 @@ import pytest
 
 from repro.constants import BLOCK_SIZE, GIB, KIB, MIB
 from repro.device import make_device
+from repro.doc import compare as replay_compare, validate
 from repro.errors import InvalidArgument
 from repro.fs import make_filesystem
 from repro.replay import (
@@ -14,9 +15,7 @@ from repro.replay import (
     generate_ops,
     generate_trace,
     run_replay,
-    validate,
 )
-from repro.replay import compare as replay_compare
 from repro.types import IoOp
 
 
@@ -217,6 +216,6 @@ def test_replay_compare_flags_regression(tmp_path):
     cand["figures"]["ops_per_vsec"] = base["figures"]["ops_per_vsec"] * 0.5
     comparison = replay_compare(base, cand, threshold=0.10)
     assert not comparison.ok
-    assert any(f.metric == "ops_per_vsec" for f in comparison.regressions)
+    assert any(f.path == "figures.ops_per_vsec" for f in comparison.regressions)
     same = replay_compare(base, base, threshold=0.10)
     assert same.ok

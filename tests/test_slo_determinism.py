@@ -5,11 +5,11 @@ import json
 
 import pytest
 
+from repro.doc import compare, validate
 from repro.fleet import FleetConfig, FleetSlo, run_fleet
 from repro.fleet.slo import DEFAULT_LATENCY_SLO_S, fleet_specs, volume_spec
 from repro.obs import hooks
 from repro.obs.hooks import Instrumentation
-from repro.obs.slo import compare, validate
 
 
 @pytest.fixture(autouse=True)
@@ -106,7 +106,7 @@ def test_storm_regresses_against_clean_run_direction_aware():
     assert regressions, "fault storm must regress at least one SLO metric"
     # every compared metric moves in its declared direction
     for finding in regressions:
-        if finding.metric in ("compliance", "budget_remaining"):
+        if finding.path.endswith((".compliance", ".budget_remaining")):
             assert finding.candidate < finding.baseline
         else:
             assert finding.candidate > finding.baseline

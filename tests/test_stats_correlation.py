@@ -1,7 +1,7 @@
 """Equations (1) and (2): CC and NLRS."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import InvalidArgument
 from repro.stats import correlation_coefficient, nlrs, normalize_to_min
@@ -55,6 +55,7 @@ grid = st.integers(-10**6, 10**6).map(float)
 
 
 @given(st.lists(st.tuples(finite, finite), min_size=2, max_size=50))
+@example([(0.0, 0.0)] + [(6.883051604334641e-161, 1.0)] * 3)  # subnormal squares
 def test_cc_bounded(pairs):
     xs = [p[0] for p in pairs]
     ys = [p[1] for p in pairs]
