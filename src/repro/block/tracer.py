@@ -6,8 +6,9 @@ command carries, so experiments can report e.g. "the defragmenter issued
 exactly what the paper measures with blktrace/iotop.
 
 When the observability plane is enabled the tracer also emits each
-command into the shared ``repro.obs`` event ring (track ``"block"``), so
-Chrome traces show raw block commands without a second private log; the
+command into the shared ``repro.obs`` event ring (track ``"block"``) as a
+fixed-field row (:data:`CMD_FIELDS` plus a value tuple, no kwargs dict),
+so Chrome traces show raw block commands without a second private log; the
 in-memory ``keep_log`` list remains available for callers that need
 random access to the raw commands.
 """
@@ -19,6 +20,9 @@ from typing import Dict, Iterable, List
 
 from ..obs import hooks as obs_hooks
 from .request import READ, WRITE, IoCommand
+
+#: attribute names of every ``block.cmd`` event, in emission order
+CMD_FIELDS = ("op", "offset", "length", "tag", "pid")
 
 
 @dataclass
@@ -79,7 +83,7 @@ class BlockTracer:
     def observe(self, commands: Iterable[IoCommand], now: float = 0.0) -> None:
         # TrafficCounter.account inlined for the total and the per-tag
         # counter: this runs for every command of every submitted batch
-        emit = self._emitting
+        row = self.obs.spans.row if self._emitting else None
         by_tag = self.by_tag
         total = self.total
         keep_log = self.keep_log
@@ -105,14 +109,11 @@ class BlockTracer:
                 counter.discard_commands += 1
             if keep_log:
                 self.log.append(command)
-            if emit:
+            if row is not None:
                 # pid ties the raw command back to its syscall's
                 # provenance tree (0 = untracked)
-                self.obs.event(
-                    "block.cmd", now, track="block",
-                    op=op.value, offset=command.offset,
-                    length=length, tag=tag, pid=pid,
-                )
+                row("block.cmd", now, "block", CMD_FIELDS,
+                    (op.value, command.offset, length, tag, pid))
 
     def tag(self, name: str) -> TrafficCounter:
         """Counter for one tag (empty counter if never seen)."""

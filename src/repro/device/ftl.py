@@ -26,9 +26,14 @@ from ..errors import DeviceError
 
 @dataclass
 class EraseBlock:
-    """One flash erase block: an append-only list of page slots."""
+    """One flash erase block: an append-only list of page slots.
+
+    ``index`` is the block's position in the FTL's block registry; a
+    mapped page's location is ``index * pages_per_block + slot``.
+    """
 
     channel: int
+    index: int
     pages: List[Optional[int]] = field(default_factory=list)
     valid_count: int = 0
     erase_count: int = 0
@@ -81,8 +86,11 @@ class PageMappingFtl:
         )
         self.blocks_per_channel = per_channel_blocks
         self.gc_free_block_threshold = gc_free_block_threshold
-        #: lpn -> (EraseBlock, slot index)
-        self.mapping: Dict[int, Tuple[EraseBlock, int]] = {}
+        #: lpn -> location, ``block.index * pages_per_block + slot``: one
+        #: int per mapped page instead of a (block, slot) tuple
+        self.mapping: Dict[int, int] = {}
+        #: every block created so far, by index
+        self._blocks: List[EraseBlock] = []
         self._active: List[Optional[EraseBlock]] = [None] * channels
         self._sealed: List[List[EraseBlock]] = [[] for _ in range(channels)]
         self._free_pool: List[List[EraseBlock]] = [[] for _ in range(channels)]
@@ -109,10 +117,18 @@ class PageMappingFtl:
         Unwritten logical pages behave as if the drive were pre-filled
         sequentially (address-striped).
         """
-        entry = self.mapping.get(lpn)
-        if entry is None:
+        loc = self.mapping.get(lpn)
+        if loc is None:
             return lpn % self.channels
-        return entry[0].channel
+        return self._blocks[loc // self.pages_per_block].channel
+
+    def location(self, lpn: int) -> Optional[Tuple[EraseBlock, int]]:
+        """``(block, slot)`` holding ``lpn``, or None when it is unmapped."""
+        loc = self.mapping.get(lpn)
+        if loc is None:
+            return None
+        index, slot = divmod(loc, self.pages_per_block)
+        return self._blocks[index], slot
 
     def channel_counts(self, first: int, last: int) -> Dict[int, int]:
         """Pages-per-channel for a read of lpns ``first..last`` inclusive.
@@ -122,11 +138,16 @@ class PageMappingFtl:
         fingerprinted document hashing it) depends on.
         """
         mapping_get = self.mapping.get
+        blocks = self._blocks
+        pages_per_block = self.pages_per_block
         channels = self.channels
         counts: Dict[int, int] = {}
         for lpn in range(first, last + 1):
-            entry = mapping_get(lpn)
-            channel = entry[0].channel if entry is not None else lpn % channels
+            loc = mapping_get(lpn)
+            channel = (
+                lpn % channels if loc is None
+                else blocks[loc // pages_per_block].channel
+            )
             counts[channel] = counts.get(channel, 0) + 1
         return counts
 
@@ -143,7 +164,8 @@ class PageMappingFtl:
             block = self._free_pool[channel].pop()
         elif self._created_blocks[channel] < self.blocks_per_channel:
             self._created_blocks[channel] += 1
-            block = EraseBlock(channel)
+            block = EraseBlock(channel, len(self._blocks))
+            self._blocks.append(block)
         else:
             return None
         self._free_blocks[channel] -= 1
@@ -178,6 +200,7 @@ class PageMappingFtl:
         threshold = self.gc_free_block_threshold
         mapping = self.mapping
         mapping_get = mapping.get
+        blocks = self._blocks
         active = self._active
         free_blocks = self._free_blocks
         stalled = self._gc_stalled
@@ -191,8 +214,8 @@ class PageMappingFtl:
                 erased += e
             old = mapping_get(lpn)
             if old is not None:
-                old_block, slot = old
-                old_block.pages[slot] = None
+                old_block = blocks[old // pages_per_block]
+                old_block.pages[old % pages_per_block] = None
                 old_block.valid_count -= 1
                 stalled[old_block.channel] = False
             block = active[channel]
@@ -203,7 +226,7 @@ class PageMappingFtl:
             pages = block.pages
             pages.append(lpn)
             block.valid_count += 1
-            mapping[lpn] = (block, len(pages) - 1)
+            mapping[lpn] = block.index * pages_per_block + len(pages) - 1
             channel += 1
             if channel == channels:
                 channel = 0
@@ -215,11 +238,14 @@ class PageMappingFtl:
         """Discard: drop mappings, freeing the pages for GC.  Returns count."""
         self.generation += 1
         stalled = self._gc_stalled
+        blocks = self._blocks
+        pages_per_block = self.pages_per_block
         dropped = 0
         for lpn in lpns:
-            entry = self.mapping.pop(lpn, None)
-            if entry is not None:
-                block, slot = entry
+            loc = self.mapping.pop(lpn, None)
+            if loc is not None:
+                index, slot = divmod(loc, pages_per_block)
+                block = blocks[index]
                 block.pages[slot] = None
                 block.valid_count -= 1
                 stalled[block.channel] = False
@@ -278,4 +304,4 @@ class PageMappingFtl:
                 raise DeviceError(f"flash channel {channel} wedged during GC")
         block.pages.append(lpn)
         block.valid_count += 1
-        self.mapping[lpn] = (block, len(block.pages) - 1)
+        self.mapping[lpn] = block.index * self.pages_per_block + len(block.pages) - 1

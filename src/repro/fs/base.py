@@ -346,7 +346,7 @@ class Filesystem(abc.ABC):
             submit = self.scheduler.submit(commands, now)
             requests = submit.commands
             finish = max(finish, submit.finish_time)
-            evicted = self.page_cache.fill((ino, page) for page in missing)
+            evicted = self.page_cache.fill(ino, missing)
             if evicted:
                 # eviction writeback is causally this read's fault: the
                 # flushed commands carry its pid
@@ -430,7 +430,7 @@ class Filesystem(abc.ABC):
     def _write_buffered(self, handle: FileHandle, inode: Inode, offset: int, length: int, now: float, pid: int = 0) -> Tuple[float, int]:
         first = offset // BLOCK_SIZE
         last = (offset + length - 1) // BLOCK_SIZE
-        evicted = self.page_cache.mark_dirty((inode.ino, page) for page in range(first, last + 1))
+        evicted = self.page_cache.mark_dirty(inode.ino, range(first, last + 1))
         finish = now + length / self.costs.memcpy_rate + self.costs.syscall_overhead
         if self._observing:
             self.obs.fs_cpu(finish - now)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple, Union
 
 
 class Span:
@@ -71,15 +71,36 @@ class Span:
 
 
 class SpanEvent:
-    """One instant event in the ring buffer."""
+    """One instant event in the ring buffer.
 
-    __slots__ = ("name", "time", "attrs", "track")
+    A keyword event keeps its attrs dict.  A row event (see
+    :meth:`SpanRecorder.row`) keeps a key tuple shared by every event of
+    its kind plus a tuple of values, and :attr:`attrs` zips the two into
+    the same dict, in the same key order, when read.
+    """
 
-    def __init__(self, name: str, time: float, attrs: Dict[str, object], track: str) -> None:
+    __slots__ = ("name", "time", "_values", "track", "_keys")
+
+    def __init__(
+        self,
+        name: str,
+        time: float,
+        attrs: Union[Dict[str, object], Tuple[object, ...]],
+        track: str,
+        keys: Optional[Tuple[str, ...]] = None,
+    ) -> None:
         self.name = name
         self.time = time
-        self.attrs = attrs
+        self._values = attrs
         self.track = track
+        self._keys = keys
+
+    @property
+    def attrs(self) -> Dict[str, object]:
+        keys = self._keys
+        if keys is None:
+            return self._values
+        return dict(zip(keys, self._values))
 
 
 class SpanRecorder:
@@ -167,13 +188,29 @@ class SpanRecorder:
     # -- events --------------------------------------------------------
 
     def event(self, name: str, now: float, track: str = "main", **attrs: object) -> None:
+        self._append(SpanEvent(name, now, attrs, track))
+
+    def row(
+        self,
+        name: str,
+        now: float,
+        track: str,
+        keys: Tuple[str, ...],
+        values: Tuple[object, ...],
+    ) -> None:
+        """:meth:`event` for a hot fixed-field emitter: ``keys`` is one
+        tuple shared by every event of the kind, so each event stores a
+        value tuple instead of a kwargs dict."""
+        self._append(SpanEvent(name, now, values, track, keys))
+
+    def _append(self, event: SpanEvent) -> None:
         events = self.events
         if len(events) == events.maxlen:
             # the ring wraps: the oldest event is about to be evicted
             self.dropped_events += 1
             if self.drop_counter is not None:
                 self.drop_counter.inc()
-        events.append(SpanEvent(name, now, attrs, track))
+        events.append(event)
 
     # -- views ---------------------------------------------------------
 

@@ -1,5 +1,10 @@
 """blktrace-equivalent accounting."""
 
+import hashlib
+import json
+
+import pytest
+
 from repro.block import BlockTracer, IoCommand, IoOp, TrafficCounter
 
 
@@ -63,3 +68,55 @@ def test_observe_emits_into_obs_event_ring():
         assert tracer.tag("a").read_bytes == 512
     finally:
         hooks.disable()
+
+
+#: sha256 of the armed obs outputs of a ``replay --smoke``-sized run
+#: (20k ops, seed 0, ext4 on flash): its Chrome trace document and the
+#: ``block.cmd`` events a harvest snapshot carries.  Pinned from the
+#: kwargs-dict emitter; row-form events must reproduce them byte for byte.
+REPLAY_TRACE_SHA256 = "9724f72de245af09cc308097c953dce2717b4a3ab2d0c61179dc43c17feedd95"
+REPLAY_BLOCK_CMD_SHA256 = "7fe74ebebec6d43b51f6d72528fad48a8a88d110373874b8eb4ff7cbbd4610c4"
+
+
+@pytest.fixture(scope="module")
+def armed_replay_obs(tmp_path_factory):
+    """The private obs plane of one smoke-sized ``run_replay``."""
+    from repro.replay import TraceProfile, generate_trace
+    from repro.replay import report
+
+    planes = []
+
+    class Recording(report.Instrumentation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            planes.append(self)
+
+    path = str(tmp_path_factory.mktemp("replay") / "smoke.bin")
+    generate_trace(path, TraceProfile(ops=20_000, seed=0))
+    patch = pytest.MonkeyPatch()
+    patch.setattr(report, "Instrumentation", Recording)
+    try:
+        report.run_replay(path, report.ReplayConfig())
+    finally:
+        patch.undo()
+    (obs,) = planes
+    return obs
+
+
+def _sha256(document) -> str:
+    return hashlib.sha256(json.dumps(document).encode()).hexdigest()
+
+
+def test_armed_replay_chrome_trace_is_pinned(armed_replay_obs):
+    from repro.obs import export
+
+    obs = armed_replay_obs
+    assert _sha256(export.chrome_trace(obs.spans, obs.registry)) == REPLAY_TRACE_SHA256
+
+
+def test_armed_replay_harvested_block_cmds_are_pinned(armed_replay_obs):
+    from repro.obs import harvest
+
+    commands = [e for e in harvest.capture(armed_replay_obs).events if e[0] == "block.cmd"]
+    assert len(commands) == 16_919
+    assert _sha256(commands) == REPLAY_BLOCK_CMD_SHA256

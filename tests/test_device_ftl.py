@@ -38,7 +38,7 @@ def test_mapping_follows_write():
 def test_overwrite_invalidates_old_page():
     ftl = small_ftl()
     ftl.write([5])
-    block, _ = ftl.mapping[5]
+    block, _ = ftl.location(5)
     assert block.valid_count == 1
     ftl.write([5])
     assert block.valid_count == 0
@@ -50,6 +50,7 @@ def test_invalidate_discard():
     dropped = ftl.invalidate([1, 2, 3, 4])
     assert dropped == 3
     assert 1 not in ftl.mapping
+    assert ftl.location(1) is None
     # discarded pages read as address-striped again
     assert ftl.channel_of(1) == 1
 
@@ -69,7 +70,7 @@ def test_gc_reclaims_invalid_pages():
     assert ftl.write_amplification >= 1.0
     # mapping stays consistent through GC
     for lpn in range(16):
-        block, slot = ftl.mapping[lpn]
+        block, slot = ftl.location(lpn)
         assert block.pages[slot] == lpn
 
 
@@ -95,7 +96,8 @@ def test_mapping_always_consistent(lpns):
     ftl = small_ftl(logical_pages=64, channels=2, pages_per_block=8)
     for lpn in lpns:
         ftl.write([lpn])
-    for lpn, (block, slot) in ftl.mapping.items():
+    for lpn in ftl.mapping:
+        block, slot = ftl.location(lpn)
         assert block.pages[slot] == lpn
     assert len(ftl.mapping) == len(set(lpns))
     assert ftl.host_pages_written == len(lpns)
@@ -242,5 +244,6 @@ def test_gc_matches_per_page_reference(ops, shape, overprovision):
                 result.erased_blocks) == expected
         assert ftl.total_erases == ref.erases
         assert ftl.relocated_pages_total == ref.relocated
-        assert {lpn: (b.channel, s) for lpn, (b, s) in ftl.mapping.items()} == {
+        locations = {lpn: ftl.location(lpn) for lpn in ftl.mapping}
+        assert {lpn: (b.channel, s) for lpn, (b, s) in locations.items()} == {
             lpn: (b["channel"], s) for lpn, (b, s) in ref.mapping.items()}
